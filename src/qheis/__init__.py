@@ -4,7 +4,6 @@ level, imaginary Verma-type modules with graded dimensions and
 truncation-scale irreducibility, and loop-module weight multiplicities."""
 
 from .cartan import (
-    AffineWeight,
     CartanData,
     FiniteRoot,
     IndexOutOfRange,
@@ -25,7 +24,7 @@ from .heisenberg import (
     gamma_bracket,
     inverse_structure_matrix,
     oscillator_table,
-    primed_generator,
+    primed_generators,
     relation_table,
     single_heisenberg_table,
     structure_constant,
@@ -90,7 +89,6 @@ from .verma import (
 )
 from .weyliso import (
     UnspecializedGamma,
-    WeylAlgebra,
     WeylIsomorphism,
     from_weyl,
     to_weyl,

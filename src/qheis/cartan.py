@@ -140,15 +140,6 @@ class FiniteRoot:
 
 
 @dataclass(frozen=True)
-class AffineWeight:
-    """A weight stored by its values on (h_1..h_n, c, d)."""
-
-    hvalues: tuple
-    cvalue: int
-    dvalue: int
-
-
-@dataclass(frozen=True)
 class LatticePoint:
     """An element of the affine root lattice: finite part plus a delta coefficient."""
 
@@ -220,20 +211,19 @@ def load_type(series: str, rank: int) -> CartanData:
     col0 = []
     for j in range(rank):
         a0j = Fraction(-2 * tp[j], tsq)
-        assert a0j.denominator == 1
-        row0.append(int(a0j))
         aj0 = Fraction(-tp[j], fd[j])
-        assert aj0.denominator == 1
+        if a0j.denominator != 1 or aj0.denominator != 1:
+            raise InvalidType(f"non-integral affine node entries for {series}_{rank}")
+        row0.append(int(a0j))
         col0.append(int(aj0))
     gcm = [row0] + [[col0[j]] + list(fin[j]) for j in range(rank)]
     d = _symmetrizers(gcm)
-    for i in range(rank + 1):
-        assert gcm[i][i] == 2
-        for j in range(rank + 1):
-            if i != j:
-                assert gcm[i][j] <= 0
-                assert (gcm[i][j] == 0) == (gcm[j][i] == 0)
-            assert d[i] * gcm[i][j] == d[j] * gcm[j][i]
+    nodes = range(rank + 1)
+    if not all(gcm[i][i] == 2 for i in nodes) or not all(
+            d[i] * gcm[i][j] == d[j] * gcm[j][i]
+            and (i == j or gcm[i][j] <= 0 and (gcm[i][j] == 0) == (gcm[j][i] == 0))
+            for i in nodes for j in nodes):
+        raise InvalidType(f"{series}_{rank} does not give a symmetrizable GCM")
     return CartanData(series, rank, tuple(tuple(r) for r in gcm), d)
 
 

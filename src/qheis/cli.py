@@ -85,35 +85,33 @@ def _verify_table(rows):
     yield f"summary\t{len(rows) - bad}/{len(rows)} passed"
 
 
-def _cmd_heis_verify(args):
-    cd = load_type(args.type, args.rank)
-    alg = HeisenbergAlgebra(cd, _convention(args), args.level)
-    checks = verify_canonical_relations(alg, args.max_k)
+def _emit_checks(checks, args):
     rows = report_to_json(checks)
     _emit(rows, _format_choice(args), _verify_table)
     return 0 if all(r["pass"] for r in rows) else 1
+
+
+def _cmd_heis_verify(args):
+    alg = HeisenbergAlgebra(load_type(args.type, args.rank), _convention(args), args.level)
+    return _emit_checks(verify_canonical_relations(alg, args.max_k), args)
 
 
 def _cmd_weyl_verify(args):
     cd = load_type(args.type, args.rank)
-    checks = verify_weyl_iso(cd, args.level, args.max_k, _convention(args))
-    rows = report_to_json(checks)
-    _emit(rows, _format_choice(args), _verify_table)
-    return 0 if all(r["pass"] for r in rows) else 1
+    return _emit_checks(verify_weyl_iso(cd, args.level, args.max_k, _convention(args)), args)
+
+
+def _module(args):
+    return VermaModule(PhiSignature.parse(args.phi), args.level,
+                       Truncation(args.max_index, args.max_exp))
 
 
 def _cmd_verma_dims(args):
-    phi = PhiSignature.parse(args.phi)
-    module = VermaModule(phi, args.level, Truncation(args.max_index, args.max_exp))
+    module = _module(args)
     lo = args.from_degree if args.from_degree is not None else -args.max_index
     hi = args.to_degree if args.to_degree is not None else args.max_index
-    obj = {
-        "phi": {"prefix": phi.render().split(":")[0] if ":" in phi.render() else "",
-                "period": phi.render().split(":")[-1]},
-        "level": args.level,
-        "truncation": {"max_index": args.max_index, "max_exponent": args.max_exp},
-        "degrees": [module.graded_dim(n).to_json() for n in range(lo, hi + 1)],
-    }
+    obj = {**module.header(),
+           "degrees": [module.graded_dim(n).to_json() for n in range(lo, hi + 1)]}
 
     def table(o):
         yield "n,dim,verdict"
@@ -125,9 +123,7 @@ def _cmd_verma_dims(args):
 
 
 def _cmd_verma_irred(args):
-    phi = PhiSignature.parse(args.phi)
-    module = VermaModule(phi, args.level, Truncation(args.max_index, args.max_exp))
-    obj = module.report()
+    obj = _module(args).report()
 
     def table(o):
         yield f"verdict\t{o['verdict']}"
@@ -142,17 +138,24 @@ def _cmd_verma_irred(args):
 
 def _parse_vdims(text):
     raw = json.loads(text)
+    if not isinstance(raw, dict) or not raw:
+        raise ValueError('--vdims must be a nonempty JSON object {"degree": dim}')
     counts = {}
     infinite = set()
     for key, val in raw.items():
-        m = int(key)
+        try:
+            m = int(key)
+        except ValueError:
+            raise ValueError(f"--vdims: degree {key!r} is not an integer") from None
         if val == "inf":
             infinite.add(m)
             counts[m] = 0
+        elif type(val) is int and val >= 0:
+            counts[m] = val
         else:
-            counts[m] = int(val)
-    keys = list(counts)
-    return GradedDims(counts, frozenset(infinite), (min(keys), max(keys)))
+            raise ValueError(f'--vdims: dimension at degree {key} must be a nonnegative '
+                             f'integer or "inf", got {val!r}')
+    return GradedDims(counts, frozenset(infinite), (min(counts), max(counts)))
 
 
 def _cmd_loop_mult(args):

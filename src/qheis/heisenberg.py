@@ -23,13 +23,14 @@ from .termalg import (
     GenId,
     RelationTable,
     commutator,
+    generator_key,
     h_gen,
 )
 
 __all__ = [
     "StructureConvention", "HeisenbergAlgebra", "ZeroK", "ZeroLevel",
     "SingularMatrix", "structure_constant", "structure_matrix",
-    "inverse_structure_matrix", "primed_generator", "relation_table",
+    "inverse_structure_matrix", "primed_generators", "relation_table",
     "oscillator_table", "verify_canonical_relations", "RelationCheck",
     "single_heisenberg_table", "central_bracket", "gamma_bracket",
     "report_to_json",
@@ -110,19 +111,15 @@ def inverse_structure_matrix(alg: HeisenbergAlgebra, k: int):
     return invert(structure_matrix(alg, k))
 
 
-def primed_generator(alg: HeisenbergAlgebra, j: int, k: int) -> AlgebraElement:
-    """The primed negative generator as a combination of unprimed ones."""
+def primed_generators(alg: HeisenbergAlgebra, k: int):
+    """The primed negative generators h'_{j,-k}, j = 1..n, as combinations of
+    unprimed ones, from one inverse of the degree-k structure matrix."""
     if k < 1:
         raise ValueError("k must be >= 1")
     b = inverse_structure_matrix(alg, k)
-    out = AlgebraElement.zero()
-    for m in range(1, alg.cartan.rank + 1):
-        out = out + AlgebraElement.from_word((h_gen(m, -k),), b[m - 1][j - 1])
-    return out
-
-
-def _loop_key(g: GenId):
-    return (0 if g.degree < 0 else 1, g.node, g.degree)
+    n = alg.cartan.rank
+    return [AlgebraElement({((h_gen(m + 1, -k),), 0): b[m][j] for m in range(n)})
+            for j in range(n)]
 
 
 def relation_table(alg: HeisenbergAlgebra) -> RelationTable:
@@ -143,11 +140,7 @@ def relation_table(alg: HeisenbergAlgebra) -> RelationTable:
         c = structure_constant(alg, b.node, a.node, b.degree)
         return {g: -(c * v) for g, v in gamma_bracket(b.degree, alg.level).items()}
 
-    return RelationTable("loop", _loop_key, comm)
-
-
-def _osc_key(g: GenId):
-    return (0 if g.degree < 0 else 1, g.node, g.degree)
+    return RelationTable("loop", generator_key, comm)
 
 
 def oscillator_table(level: int | None = None) -> RelationTable:
@@ -173,7 +166,7 @@ def oscillator_table(level: int | None = None) -> RelationTable:
             return {}
         return {}
 
-    return RelationTable("oscillator", _osc_key, comm)
+    return RelationTable("oscillator", generator_key, comm)
 
 
 @dataclass(frozen=True)
@@ -201,6 +194,30 @@ def report_to_json(checks):
     return [c.to_json() for c in checks]
 
 
+def _check_relations(alg: HeisenbergAlgebra, max_k: int, relations):
+    """One RelationCheck per relation and per (i, j, k, l) in [1, n]^2 x [1, max_k]^2.
+
+    relations is a sequence of (name, fn); fn(i, j, k, l, primed) returns
+    (lhs, rhs, residue), where primed[(j, l)] is h'_{j,-l} expanded in the
+    unprimed generators.  Checks come in (i, j, k, l) order, then relation order.
+    """
+    if max_k < 1:
+        raise ValueError("max_k must be >= 1")
+    n = alg.cartan.rank
+    primed = {(j, l): p for l in range(1, max_k + 1)
+              for j, p in enumerate(primed_generators(alg, l), start=1)}
+    checks = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, max_k + 1):
+                for l in range(1, max_k + 1):
+                    for name, fn in relations:
+                        lhs, rhs, residue = fn(i, j, k, l, primed)
+                        checks.append(RelationCheck(
+                            f"{name}[i={i},j={j},k={k},l={l}]", lhs, rhs, residue))
+    return checks
+
+
 def verify_canonical_relations(alg: HeisenbergAlgebra, max_k: int):
     """Check the decoupled relations symbolically through the defining presentation.
 
@@ -208,35 +225,29 @@ def verify_canonical_relations(alg: HeisenbergAlgebra, max_k: int):
     commutators are computed in the unprimed presentation, so a pass is an
     honest derivation, not a restatement of the decoupled table.
     """
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
     table = relation_table(alg)
-    n = alg.cartan.rank
-    primed = {(j, l): primed_generator(alg, j, l)
-              for j in range(1, n + 1) for l in range(1, max_k + 1)}
-    checks = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, max_k + 1):
-                for l in range(1, max_k + 1):
-                    hik = AlgebraElement.from_gen(h_gen(i, k))
-                    lhs = commutator(hik, primed[(j, l)], table)
-                    if i == j and k == l:
-                        rhs = AlgebraElement({((), g): v
-                                              for g, v in gamma_bracket(k, alg.level).items()})
-                    else:
-                        rhs = AlgebraElement.zero()
-                    checks.append(RelationCheck(
-                        f"pairing[i={i},j={j},k={k},l={l}]", lhs, rhs, lhs - rhs))
-                    pos = commutator(hik, AlgebraElement.from_gen(h_gen(j, l)), table)
-                    checks.append(RelationCheck(
-                        f"pos-commute[i={i},j={j},k={k},l={l}]",
-                        pos, AlgebraElement.zero(), pos))
-                    neg = commutator(primed[(i, k)], primed[(j, l)], table)
-                    checks.append(RelationCheck(
-                        f"neg-commute[i={i},j={j},k={k},l={l}]",
-                        neg, AlgebraElement.zero(), neg))
-    return checks
+
+    def h(i, k):
+        return AlgebraElement.from_gen(h_gen(i, k))
+
+    def pairing(i, j, k, l, primed):
+        lhs = commutator(h(i, k), primed[(j, l)], table)
+        if i == j and k == l:
+            rhs = AlgebraElement({((), g): v for g, v in gamma_bracket(k, alg.level).items()})
+        else:
+            rhs = AlgebraElement.zero()
+        return lhs, rhs, lhs - rhs
+
+    def pos_commute(i, j, k, l, primed):
+        pos = commutator(h(i, k), h(j, l), table)
+        return pos, AlgebraElement.zero(), pos
+
+    def neg_commute(i, j, k, l, primed):
+        neg = commutator(primed[(i, k)], primed[(j, l)], table)
+        return neg, AlgebraElement.zero(), neg
+
+    return _check_relations(alg, max_k, [("pairing", pairing), ("pos-commute", pos_commute),
+                                        ("neg-commute", neg_commute)])
 
 
 @lru_cache(maxsize=None)
@@ -250,10 +261,6 @@ def central_bracket(k: int, level: int | None):
     return dict(_central_bracket_cached(k, level))
 
 
-def _single_key(g: GenId):
-    return (0 if g.degree < 0 else 1, 0, g.degree)
-
-
 def _single_table_unchecked(level: int | None) -> RelationTable:
     def comm(a: GenId, b: GenId):
         if a.flavor != FLAVOR_A or b.flavor != FLAVOR_A:
@@ -262,7 +269,7 @@ def _single_table_unchecked(level: int | None) -> RelationTable:
             return {}
         return central_bracket(a.degree, level)
 
-    return RelationTable("single", _single_key, comm)
+    return RelationTable("single", generator_key, comm)
 
 
 def single_heisenberg_table(level: int | None = None) -> RelationTable:

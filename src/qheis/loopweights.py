@@ -67,9 +67,10 @@ class MultiplicityReport:
         }
 
 
-def support_contains(lam, beta, k: int) -> bool:
+def support_contains(beta) -> bool:
     """Whether lambda - beta + k*delta lies in the support: beta must be a
-    nonnegative combination of simple roots; the shift is unrestricted."""
+    nonnegative combination of simple roots; lambda and the shift k are
+    unrestricted."""
     return all(c >= 0 for c in beta)
 
 
@@ -114,8 +115,10 @@ def weight_multiplicity(cartan: CartanData, beta, k: int, vdims: GradedDims,
     dimension itself.
     """
     beta = tuple(beta)
-    if not support_contains(None, beta, k):
+    if not support_contains(beta):
         raise NotInSupport(f"finite part {beta} is not a nonnegative root combination")
+    if max_abs_k < 0:
+        raise ValueError(f"shift window must be >= 0, got {max_abs_k}")
     dp = _monomial_counts(cartan, beta, max_abs_k)
     total = 0
     witnessed = False
@@ -145,12 +148,18 @@ def _broadcast_phis(phis, rank):
     return phis
 
 
-def _exact_constant_dims(signs, lo: int, hi: int) -> GradedDims:
+def _mixed(phis) -> bool:
+    """False iff every signature is constant, all with one sign."""
+    return not (all(phi.is_constant() for phi in phis)
+                and len({phi.constant_sign() for phi in phis}) == 1)
+
+
+def _exact_constant_dims(sign, nodes: int, lo: int, hi: int) -> GradedDims:
     # every node constant with the same sign: all supports on one side, so the
     # node-by-node convolution of partition counts is finite and exact
-    side = -signs[0]
+    side = -sign
     conv = {0: 1}
-    for _ in signs:
+    for _ in range(nodes):
         new = {}
         for p, c in conv.items():
             t = 0
@@ -182,8 +191,8 @@ def phi_verma_graded_dims(phis, level: int, lo: int, hi: int,
                           trunc: Truncation) -> GradedDims:
     """Graded dimensions of the rank-many tensor factors picked out by the
     signatures, on the window [lo, hi]."""
-    if all(phi.is_constant() for phi in phis) and len({phi.constant_sign() for phi in phis}) == 1:
-        return _exact_constant_dims([phi.constant_sign() for phi in phis], lo, hi)
+    if not _mixed(phis):
+        return _exact_constant_dims(phis[0].constant_sign(), len(phis), lo, hi)
     return _truncated_mixed_dims(phis, level, lo, hi, trunc)
 
 
@@ -193,15 +202,13 @@ def phi_verma_weight_dim(cartan: CartanData, phis, level: int, beta, k: int,
     inducing module: infinite for any non-constant signature and for any
     nonzero finite part; exact partition-convolution counts otherwise."""
     beta = tuple(beta)
-    if not support_contains(None, beta, k):
+    if not support_contains(beta):
         raise NotInSupport(f"finite part {beta} is not a nonnegative root combination")
     phis = _broadcast_phis(phis, cartan.rank)
     reach = max_abs_k * max(sum(beta), 1)
     vdims = phi_verma_graded_dims(phis, level, k - reach, k + reach, trunc)
     report = weight_multiplicity(cartan, beta, k, vdims, max_abs_k)
-    mixed = not (all(phi.is_constant() for phi in phis)
-                 and len({phi.constant_sign() for phi in phis}) == 1)
-    if mixed or beta != tuple([0] * len(beta)):
+    if _mixed(phis) or beta != tuple([0] * len(beta)):
         report = MultiplicityReport(report.beta, report.k, report.truncated_count,
                                     Verdict("INFINITE"), report.max_abs_k)
     return report

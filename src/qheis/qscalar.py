@@ -149,7 +149,8 @@ def _pgcd(a, b):
 
 def _pdiv_exact(a, b):
     q, r = _pdivmod(a, b)
-    assert not r, "inexact polynomial division"
+    if r:
+        raise ArithmeticError("inexact polynomial division")
     return q
 
 
@@ -194,6 +195,12 @@ def _poly_str(p):
     return "".join(parts)
 
 
+def _exact(c):
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficients must be int or Fraction, not {type(c).__name__}")
+    return Fraction(c)
+
+
 class Scalar:
     """An exact rational function of s = q^(1/2), always canonical."""
 
@@ -202,8 +209,8 @@ class Scalar:
     def __init__(self, num, den=None):
         if den is None:
             den = {0: Fraction(1)}
-        num = _trim({e: Fraction(c) for e, c in num.items()})
-        den = _trim({e: Fraction(c) for e, c in den.items()})
+        num = _trim({e: _exact(c) for e, c in num.items()})
+        den = _trim({e: _exact(c) for e, c in den.items()})
         self._num, self._den = _canonical(num, den)
         self._key = (
             tuple(sorted(self._num.items())),
@@ -372,6 +379,9 @@ class Scalar:
         return self._key == other._key
 
     def __hash__(self):
+        # a constant hashes like the equal int or Fraction, as == promises
+        if self.is_laurent and self._num.keys() <= {0}:
+            return hash(self._num.get(0, 0))
         return hash(self._key)
 
     def __bool__(self):

@@ -65,6 +65,12 @@ class GenId:
         return f"{self.flavor}[{self.node},{self.degree}]"
 
 
+def generator_key(g: GenId):
+    """The normal order of the loop, oscillator, single-copy and Weyl tables:
+    negative-degree generators and X before the rest, then by node and degree."""
+    return (0 if g.degree < 0 or g.flavor == FLAVOR_X else 1, g.node, g.degree)
+
+
 def h_gen(node, degree):
     return GenId(FLAVOR_H, node, degree)
 
@@ -143,11 +149,6 @@ class AlgebraElement:
     def items(self):
         return self._terms.items()
 
-    def coefficient(self, word, gamma_half_exp=0):
-        from .qscalar import ZERO
-
-        return self._terms.get((tuple(word), gamma_half_exp), ZERO)
-
     @property
     def is_zero(self):
         return not self._terms
@@ -157,12 +158,7 @@ class AlgebraElement:
             return NotImplemented
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            v = out.get(key)
-            v = coeff if v is None else v + coeff
-            if v.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = v
+            _bump(out, key, coeff)
         res = AlgebraElement()
         res._terms = out
         return res
@@ -181,11 +177,6 @@ class AlgebraElement:
             return AlgebraElement.zero()
         res = AlgebraElement()
         res._terms = {k: v * c for k, v in self._terms.items()}
-        return res
-
-    def gamma_shift(self, half_exp):
-        res = AlgebraElement()
-        res._terms = {(w, g + half_exp): c for (w, g), c in self._terms.items()}
         return res
 
     def __eq__(self, other):
@@ -259,7 +250,8 @@ def parse_element(text: str) -> AlgebraElement:
     terms = {}
     for part in _split_top_level(text):
         part = part.strip()
-        assert part.startswith("("), f"malformed term {part!r}"
+        if not part.startswith("("):
+            raise ValueError(f"malformed term {part!r}")
         depth = 0
         for i, c in enumerate(part):
             if c == "(":
@@ -285,14 +277,14 @@ def parse_element(text: str) -> AlgebraElement:
                 continue
             for gm in piece.split():
                 m = _GEN_RE.fullmatch(gm)
-                assert m, f"malformed generator token {gm!r}"
+                if not m:
+                    raise ValueError(f"malformed generator token {gm!r}")
                 flavor, x1, x2 = m.group(1), int(m.group(2)), m.group(3)
                 if flavor == FLAVOR_A:
                     word.append(a_gen(x1))
                 else:
                     word.append(GenId(flavor, x1, int(x2)))
-        key = (tuple(word), g)
-        terms[key] = terms.get(key, Scalar._coerce(0)) + coeff
+        _bump(terms, (tuple(word), g), coeff)
     return AlgebraElement(terms)
 
 
@@ -336,7 +328,7 @@ def _reduce(pending, table, strategy):
             if not c.is_zero:
                 _bump(pending, (shorter, g + dg), coeff * c)
     out = AlgebraElement()
-    out._terms = {k: v for k, v in done.items() if not v.is_zero}
+    out._terms = done
     return out
 
 

@@ -20,6 +20,7 @@ from .termalg import (
     AlgebraElement,
     GenId,
     RelationTable,
+    _bump,
     a_gen,
     reduce_element,
 )
@@ -40,6 +41,10 @@ class EmptyComponent(ValueError):
 
 
 _SIGN_CHARS = {"+": 1, "-": -1}
+
+
+def _signs(values) -> str:
+    return "".join("+" if v > 0 else "-" for v in values)
 
 
 @dataclass(frozen=True)
@@ -71,8 +76,7 @@ class PhiSignature:
         return cls(prefix, period)
 
     def render(self) -> str:
-        pre = "".join("+" if v > 0 else "-" for v in self.prefix)
-        per = "".join("+" if v > 0 else "-" for v in self.period)
+        pre, per = _signs(self.prefix), _signs(self.period)
         return f"{pre}:{per}" if pre else per
 
     def __call__(self, i: int) -> int:
@@ -86,7 +90,8 @@ class PhiSignature:
         return len(set(self.prefix) | set(self.period)) == 1
 
     def constant_sign(self):
-        assert self.is_constant()
+        if not self.is_constant():
+            raise ValueError(f"signature {self.render()!r} is not constant")
         return self.period[0]
 
     def constant_on_window(self, n: int) -> bool:
@@ -133,16 +138,6 @@ class IrreducibilityReport:
     witness_degree: int | None
     pairing_scalars: tuple
     gram_dets: tuple
-
-    def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "witness_degree": self.witness_degree,
-            "pairing_scalars": [{"k": k, "value": str(c), "nonzero": not c.is_zero}
-                                for k, c in self.pairing_scalars],
-            "gram": [{"n": n, "det": str(d), "nonzero": not d.is_zero}
-                     for n, d in self.gram_dets],
-        }
 
 
 @lru_cache(maxsize=None)
@@ -199,14 +194,6 @@ class VermaModule:
         gens.sort(key=self._table.sort_key)
         return tuple(gens)
 
-    def raising_word(self, exps) -> tuple:
-        gens = []
-        for i, e in enumerate(exps, start=1):
-            if e:
-                gens.extend([a_gen(-self.lowering_degree(i))] * e)
-        gens.sort(key=self._table.sort_key)
-        return tuple(gens)
-
     def basis_component(self, n: int):
         """Exponent vectors of total degree n, in lexicographic order."""
         N, E = self.truncation.max_index, self.truncation.max_exponent
@@ -241,7 +228,8 @@ class VermaModule:
         N, E = self.truncation.max_index, self.truncation.max_exponent
         out = {}
         for (word, g), coeff in element.items():
-            assert g == 0
+            if g != 0:
+                raise ValueError("gamma must be specialized to a level")
             if any(not self._is_lowering(t) for t in word):
                 continue  # a raising factor reaches the highest vector
             exps = [0] * N
@@ -252,13 +240,7 @@ class VermaModule:
                 exps[i - 1] += 1
             if any(e > E for e in exps):
                 raise TruncationExceeded(f"exponent bound {E} exceeded")
-            key = tuple(exps)
-            prev = out.get(key)
-            val = coeff if prev is None else prev + coeff
-            if val.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = val
+            _bump(out, tuple(exps), coeff)
         return out
 
     def act(self, j: int, exps):
@@ -312,7 +294,8 @@ class VermaModule:
         reduced = reduce_element(AlgebraElement.from_word(word), self._table)
         total = ZERO
         for (w, g), coeff in reduced.items():
-            assert g == 0
+            if g != 0:
+                raise ValueError("gamma must be specialized to a level")
             if not w:
                 total = total + coeff
             # nonempty surviving words hit other basis vectors; raising-led
@@ -344,11 +327,6 @@ class VermaModule:
             out = out * factor
         return out
 
-    def vacuum_pairing_unfactored(self, u_exps, w_exps) -> Scalar:
-        """Single full-word reduction; slower reference route for cross-checks."""
-        word = self.raising_word(u_exps) + self.monomial_word(w_exps)
-        return self._vacuum_coefficient(word)
-
     def gram_matrix(self, n: int):
         basis = self.basis_component(n)
         if not basis:
@@ -359,10 +337,7 @@ class VermaModule:
         """The anti-involution a_i -> a_{-i} (reverses words, fixes gamma powers)."""
         pending = {}
         for (word, g), coeff in element.items():
-            flipped = tuple(a_gen(-t.degree) for t in reversed(word))
-            key = (flipped, g)
-            prev = pending.get(key)
-            pending[key] = coeff if prev is None else prev + coeff
+            _bump(pending, (tuple(a_gen(-t.degree) for t in reversed(word)), g), coeff)
         return reduce_element(AlgebraElement(pending), self._table)
 
     # -- irreducibility at truncation -------------------------------------
@@ -393,17 +368,22 @@ class VermaModule:
 
     # -- reporting ---------------------------------------------------------
 
+    def header(self) -> dict:
+        """The signature, level and truncation that every JSON report opens with."""
+        return {
+            "phi": {"prefix": _signs(self.phi.prefix), "period": _signs(self.phi.period)},
+            "level": self.level,
+            "truncation": {"max_index": self.truncation.max_index,
+                           "max_exponent": self.truncation.max_exponent},
+        }
+
     def report(self, degrees=None) -> dict:
         if degrees is None:
             N = self.truncation.max_index
             degrees = range(-N, N + 1)
         irr = self.irreducible_at_truncation()
         return {
-            "phi": {"prefix": "".join("+" if v > 0 else "-" for v in self.phi.prefix),
-                    "period": "".join("+" if v > 0 else "-" for v in self.phi.period)},
-            "level": self.level,
-            "truncation": {"max_index": self.truncation.max_index,
-                           "max_exponent": self.truncation.max_exponent},
+            **self.header(),
             "degrees": [self.graded_dim(n).to_json() for n in degrees],
             "gram": [{"n": n, "det": str(d), "nonzero": not d.is_zero}
                      for n, d in irr.gram_dets],

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from .cartan import CartanData
 from .heisenberg import (
     HeisenbergAlgebra,
-    RelationCheck,
     StructureConvention,
     ZeroLevel,
+    _check_relations,
     gamma_bracket,
     oscillator_table,
-    primed_generator,
     relation_table,
 )
 from .qscalar import ONE, qint
@@ -31,8 +30,10 @@ from .termalg import (
     AlgebraElement,
     GenId,
     RelationTable,
+    _bump,
     commutator,
     d_gen,
+    generator_key,
     h_gen,
     hp_gen,
     reduce_element,
@@ -40,17 +41,13 @@ from .termalg import (
 )
 
 __all__ = [
-    "UnspecializedGamma", "ZeroLevel", "WeylAlgebra", "WeylIsomorphism",
+    "UnspecializedGamma", "ZeroLevel", "WeylIsomorphism",
     "weyl_relation_table", "to_weyl", "from_weyl", "verify_weyl_iso",
 ]
 
 
 class UnspecializedGamma(ValueError):
     pass
-
-
-def _weyl_key(g: GenId):
-    return (0 if g.flavor == FLAVOR_X else 1, g.node, g.degree)
 
 
 def weyl_relation_table() -> RelationTable:
@@ -66,18 +63,7 @@ def weyl_relation_table() -> RelationTable:
             return {0: ONE}
         return {0: -ONE}
 
-    return RelationTable("weyl", _weyl_key, comm)
-
-
-@dataclass(frozen=True)
-class WeylAlgebra:
-    """The Weyl algebra on one canonical pair per (node, positive degree)."""
-
-    nodes: int
-
-    @property
-    def table(self):
-        return weyl_relation_table()
+    return RelationTable("weyl", generator_key, comm)
 
 
 def to_weyl(x: AlgebraElement, level: int) -> AlgebraElement:
@@ -101,9 +87,7 @@ def to_weyl(x: AlgebraElement, level: int) -> AlgebraElement:
                 new.append(x_gen(gen.node, -gen.degree))
             else:
                 raise ValueError(f"generator {gen!r} is not in the decoupled basis")
-        key = ((tuple(new)), 0)
-        prev = pending.get(key)
-        pending[key] = coeff if prev is None else prev + coeff
+        _bump(pending, (tuple(new), 0), coeff)
     return reduce_element(AlgebraElement(pending), weyl_relation_table())
 
 
@@ -122,9 +106,7 @@ def from_weyl(y: AlgebraElement, level: int) -> AlgebraElement:
                 new.append(hp_gen(gen.node, -gen.degree))
             else:
                 raise ValueError(f"generator {gen!r} is not a Weyl generator")
-        key = ((tuple(new)), g)
-        prev = pending.get(key)
-        pending[key] = coeff if prev is None else prev + coeff
+        _bump(pending, (tuple(new), g), coeff)
     return reduce_element(AlgebraElement(pending), oscillator_table(level))
 
 
@@ -152,39 +134,33 @@ def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,
     compare them against the expected bracket value."""
     if level == 0:
         raise ZeroLevel("level must be nonzero")
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
     alg = HeisenbergAlgebra(cartan, convention, level)
     loop = relation_table(alg)
     weyl = weyl_relation_table()
-    n = cartan.rank
-    primed = {(j, l): primed_generator(alg, j, l)
-              for j in range(1, n + 1) for l in range(1, max_k + 1)}
-    checks = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, max_k + 1):
-                for l in range(1, max_k + 1):
-                    hik = AlgebraElement.from_gen(h_gen(i, k))
-                    dik = AlgebraElement.from_word((d_gen(i, k),), qint(k * level))
-                    xjl = AlgebraElement.from_gen(x_gen(j, l))
-                    heis_side = commutator(hik, primed[(j, l)], loop)
-                    weyl_side = commutator(dik, xjl, weyl)
-                    if i == j and k == l:
-                        expected = AlgebraElement.from_scalar(gamma_bracket(k, level)[0])
-                    else:
-                        expected = AlgebraElement.zero()
-                    residue = (heis_side - expected) + (weyl_side - expected)
-                    checks.append(RelationCheck(
-                        f"weyl-pairing[i={i},j={j},k={k},l={l}]",
-                        heis_side, weyl_side, residue))
-                    dd = commutator(dik, AlgebraElement.from_word((d_gen(j, l),),
-                                                                  qint(l * level)), weyl)
-                    checks.append(RelationCheck(
-                        f"weyl-pos-commute[i={i},j={j},k={k},l={l}]",
-                        dd, AlgebraElement.zero(), dd))
-                    xx = commutator(AlgebraElement.from_gen(x_gen(i, k)), xjl, weyl)
-                    checks.append(RelationCheck(
-                        f"weyl-neg-commute[i={i},j={j},k={k},l={l}]",
-                        xx, AlgebraElement.zero(), xx))
-    return checks
+
+    def d(i, k):
+        return AlgebraElement.from_word((d_gen(i, k),), qint(k * level))
+
+    def x(i, k):
+        return AlgebraElement.from_gen(x_gen(i, k))
+
+    def pairing(i, j, k, l, primed):
+        heis_side = commutator(AlgebraElement.from_gen(h_gen(i, k)), primed[(j, l)], loop)
+        weyl_side = commutator(d(i, k), x(j, l), weyl)
+        if i == j and k == l:
+            expected = AlgebraElement.from_scalar(gamma_bracket(k, level)[0])
+        else:
+            expected = AlgebraElement.zero()
+        return heis_side, weyl_side, (heis_side - expected) + (weyl_side - expected)
+
+    def pos_commute(i, j, k, l, primed):
+        dd = commutator(d(i, k), d(j, l), weyl)
+        return dd, AlgebraElement.zero(), dd
+
+    def neg_commute(i, j, k, l, primed):
+        xx = commutator(x(i, k), x(j, l), weyl)
+        return xx, AlgebraElement.zero(), xx
+
+    return _check_relations(alg, max_k, [("weyl-pairing", pairing),
+                                         ("weyl-pos-commute", pos_commute),
+                                         ("weyl-neg-commute", neg_commute)])

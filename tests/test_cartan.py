@@ -126,6 +126,15 @@ def test_invalid_types(series, rank):
         load_type(series, rank)
 
 
+def test_load_type_rejects_inconsistent_data(monkeypatch):
+    # positive off-diagonal entries make no GCM; the check is explicit, not an assert
+    import qheis.cartan as cartan
+
+    monkeypatch.setattr(cartan, "_finite_gcm", lambda series, n: [[2, 1], [1, 2]])
+    with pytest.raises(InvalidType, match="GCM"):
+        cartan.load_type("A", 2)
+
+
 def test_highest_root_is_long():
     for series, rank in [("B", 3), ("C", 2), ("G", 2), ("F", 4)]:
         cd = load_type(series, rank)

@@ -16,8 +16,13 @@ CASES = {
                                  "--convention", "drinfeld", "--format", "table"],
     "weyl_verify_a1.json": ["weyl-verify", "--type", "A", "--rank", "1", "--level", "2",
                             "--max-k", "2"],
+    "weyl_verify_b3_table.txt": ["weyl-verify", "--type", "B", "--rank", "3", "--level", "-2",
+                                 "--max-k", "2", "--convention", "drinfeld",
+                                 "--format", "table"],
     "verma_dims_plus.json": ["verma-dims", "--phi", "+", "--level", "1", "--max-index", "4",
                              "--max-exp", "4", "--from-degree", "-4", "--to-degree", "1"],
+    "verma_dims_mixed.json": ["verma-dims", "--phi", "+-:+", "--level", "1",
+                              "--max-index", "3", "--max-exp", "2"],
     "verma_dims_mixed_table.txt": ["verma-dims", "--phi", "+-:+", "--level", "1",
                                    "--max-index", "3", "--max-exp", "2",
                                    "--from-degree", "-2", "--to-degree", "2",
@@ -107,3 +112,36 @@ def test_beta_length_validated(capsys):
     assert run(["loop-mult", "--type", "A", "--rank", "2", "--beta", "1",
                 "--k", "0"]) == 2
     assert "--beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vdims,needle", [
+    ("[1]", "JSON object"),
+    ("{}", "nonempty"),
+    ('{"0": [1]}', "degree 0"),
+    ('{"0": -5}', "nonnegative"),
+    ('{"0": 1.5}', "nonnegative"),
+    ('{"0": true}', "nonnegative"),
+    ('{"x": 1}', "not an integer"),
+    ("{", "Expecting"),
+])
+def test_invalid_vdims_is_a_usage_error(vdims, needle, capsys):
+    assert run(["loop-mult", "--type", "A", "--rank", "1", "--beta", "1",
+                "--vdims", vdims]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and needle in captured.err
+
+
+def test_vdims_accepts_inf_and_zero(capsys):
+    assert run(["loop-mult", "--type", "A", "--rank", "1", "--beta", "0",
+                "--vdims", '{"0": "inf", "1": 0}', "--format", "table"]) == 0
+    assert capsys.readouterr().out == "k,count,verdict\n0,0,INFINITE\n"
+
+
+def test_negative_window_is_a_usage_error(capsys):
+    argv = ["loop-mult", "--type", "A", "--rank", "1", "--beta", "0", "--window"]
+    assert run(argv + ["-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "window" in captured.err
+    assert run(argv + ["0", "--format", "table"]) == 0
+    assert capsys.readouterr().out == "k,count,verdict\n0,1,FINITE(1)\n"

@@ -12,7 +12,7 @@ from qheis.heisenberg import (
     gamma_bracket,
     inverse_structure_matrix,
     oscillator_table,
-    primed_generator,
+    primed_generators,
     relation_table,
     report_to_json,
     single_heisenberg_table,
@@ -109,15 +109,29 @@ def test_inverse_matrix_identity_a3():
 
 def test_primed_generator_a1():
     alg = HeisenbergAlgebra(load_type("A", 1))
-    pg = primed_generator(alg, 1, 1)
+    [pg] = primed_generators(alg, 1)
     assert pg == AlgebraElement.from_word((h_gen(1, -1),), ONE / qint(2))
+
+
+def test_primed_generators_columns_of_the_inverse():
+    alg = HeisenbergAlgebra(load_type("B", 3))
+    b = inverse_structure_matrix(alg, 2)
+    primed = primed_generators(alg, 2)
+    assert len(primed) == 3
+    for j, pg in enumerate(primed):
+        expected = AlgebraElement.zero()
+        for m in range(3):
+            expected = expected + AlgebraElement.from_word((h_gen(m + 1, -2),), b[m][j])
+        assert pg == expected
+    with pytest.raises(ValueError):
+        primed_generators(alg, 0)
 
 
 def test_primed_pairing_formal_gamma():
     alg = HeisenbergAlgebra(load_type("A", 1))
     t = relation_table(alg)
     lhs = commutator(AlgebraElement.from_gen(h_gen(1, 1)),
-                     primed_generator(alg, 1, 1), t)
+                     primed_generators(alg, 1)[0], t)
     assert lhs == central(gamma_bracket(1, None))
 
 
@@ -127,7 +141,7 @@ def test_primed_pairing_vanishes_off_the_diagonal():
     for (i, k), (j, l) in [((1, 1), (1, 2)), ((2, 3), (1, 1)), ((1, 2), (2, 2))]:
         assert not (i == j and k == l)
         lhs = commutator(AlgebraElement.from_gen(h_gen(i, k)),
-                         primed_generator(alg, j, l), t)
+                         primed_generators(alg, l)[j - 1], t)
         assert lhs.is_zero
 
 

@@ -46,11 +46,10 @@ def brute_force_count(cartan, beta, k, vdims, window):
 
 
 def test_support_membership():
-    lam = None
-    assert support_contains(lam, (0,), 7)
-    assert support_contains(lam, (1,), -3)
-    assert not support_contains(lam, (-1,), 0)
-    assert not support_contains(lam, (-1,), 5)
+    assert support_contains((0,))
+    assert support_contains((1,))
+    assert not support_contains((-1,))
+    assert not support_contains((1, -1))
 
 
 def test_single_factor_window_count():
@@ -87,6 +86,15 @@ def test_not_in_support():
         weight_multiplicity(cd, (-1,), 0, GradedDims.line(0), 3)
     with pytest.raises(NotInSupport):
         phi_verma_weight_dim(cd, PLUS, 1, (-1,), 0, 3, Truncation(3, 3))
+
+
+def test_negative_window_rejected():
+    cd = load_type("A", 1)
+    with pytest.raises(ValueError, match="window"):
+        weight_multiplicity(cd, (0,), 0, GradedDims.line(0), -1)
+    with pytest.raises(ValueError, match="window"):
+        phi_verma_weight_dim(cd, PLUS, 1, (0,), 0, -1, Truncation(3, 3))
+    assert weight_multiplicity(cd, (0,), 0, GradedDims.line(0), 0).truncated_count == 1
 
 
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2)])

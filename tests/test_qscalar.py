@@ -217,3 +217,32 @@ def test_power_and_coercion():
     assert x * 2 == x + x
     assert (x / 2) * 2 == x
     assert x == x + 0
+
+
+def test_hash_agrees_with_equality_on_constants():
+    assert ONE == 1 and hash(ONE) == hash(1)
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+    half = Scalar({0: Fraction(1, 2)})
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({ONE, 1}) == 1
+    assert len({ZERO, 0, Fraction(0)}) == 1
+    assert {qint(1): "x"}[1] == "x"  # [1]_q is the constant 1
+    assert len({qint(2), qint(2) + 0, s_power(1)}) == 2
+
+
+def test_float_coefficients_rejected():
+    with pytest.raises(TypeError):
+        Scalar({0: 0.1})
+    with pytest.raises(TypeError):
+        Scalar({0: 1}, {1: 2.0})
+    with pytest.raises(TypeError):
+        ONE + 0.5
+
+
+def test_inexact_polynomial_division_is_an_explicit_error():
+    from qheis.qscalar import _pdiv_exact
+
+    x = {1: Fraction(1)}
+    assert _pdiv_exact({2: Fraction(1), 1: Fraction(1)}, x) == {1: Fraction(1), 0: Fraction(1)}
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _pdiv_exact(x, {1: Fraction(1), 0: Fraction(1)})

@@ -275,6 +275,13 @@ def test_render_parse_round_trip():
     assert parse_element("0") == AlgebraElement.zero()
 
 
+@pytest.mark.parametrize("text", ["1 / 1 * a[1]", "(1 / 1) * a[1] b[2]", "(1 / 1) * a[x]"])
+def test_parse_element_rejects_malformed_text(text):
+    # explicit checks, so they hold under python -O as well
+    with pytest.raises(ValueError, match="malformed"):
+        parse_element(text)
+
+
 def test_relation_table_antisymmetry_invariant():
     rng = random.Random(7)
     gens, table = _random_central_table(rng)

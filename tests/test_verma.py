@@ -4,7 +4,7 @@ import pytest
 
 from qheis.heisenberg import central_bracket
 from qheis.qscalar import ONE, ZERO, qint
-from qheis.termalg import a_gen, normal_order
+from qheis.termalg import AlgebraElement, a_gen, normal_order, reduce_element
 from qheis.verma import (
     EmptyComponent,
     PhiSignature,
@@ -53,6 +53,15 @@ def test_signature_constancy_probes():
     late = PhiSignature.parse("+++:-")
     assert late.constant_on_window(3)
     assert not late.is_constant()
+
+
+def test_constant_sign_rejects_nonconstant_signatures():
+    # an explicit check, so it holds under python -O as well
+    assert PLUS.constant_sign() == 1
+    assert PhiSignature.parse("-").constant_sign() == -1
+    for text in ("+-", "+-:+", "+++:-"):
+        with pytest.raises(ValueError, match="not constant"):
+            PhiSignature.parse(text).constant_sign()
 
 
 def test_basis_components_small_truncations():
@@ -192,13 +201,39 @@ def test_gram_matrix_symmetric_and_sigma_involutive():
     assert m.sigma(m.sigma(x)) == x
 
 
+def raising_word(module, exps):
+    """The raising counterpart of module.monomial_word, in normal order."""
+    gens = []
+    for i, e in enumerate(exps, start=1):
+        gens.extend([a_gen(-module.lowering_degree(i))] * e)
+    gens.sort(key=module.table.sort_key)
+    return tuple(gens)
+
+
+def vacuum_pairing_unfactored(module, u_exps, w_exps):
+    """Reference route: reduce the full word sigma(u) w at once and read off
+    the highest-vector coefficient."""
+    word = raising_word(module, u_exps) + module.monomial_word(w_exps)
+    reduced = reduce_element(AlgebraElement.from_word(word), module.table)
+    return sum((c for (w, g), c in reduced.items() if not w), ZERO)
+
+
 def test_vacuum_pairing_factored_equals_full_reduction():
     for phi, level in [(PLUS, 1), (MIXED, -2)]:
         m = build_module(phi, level, Truncation(3, 2))
         for n in range(-4, 5):
             for u in m.basis_component(n):
                 for w in m.basis_component(n):
-                    assert m.vacuum_pairing(u, w) == m.vacuum_pairing_unfactored(u, w)
+                    assert m.vacuum_pairing(u, w) == vacuum_pairing_unfactored(m, u, w)
+
+
+def test_unspecialized_gamma_is_rejected():
+    # a formal level leaves gamma powers that no basis vector carries
+    m = build_module(PLUS, None, Truncation(2, 2))
+    with pytest.raises(ValueError, match="gamma"):
+        m.act(1, (1, 0))
+    with pytest.raises(ValueError, match="gamma"):
+        m.vacuum_pairing((1, 0), (1, 0))
 
 
 def test_gram_empty_component():
@@ -237,6 +272,7 @@ def test_report_shape():
     assert all({"n", "det", "nonzero"} == set(row) for row in obj["gram"])
     assert obj["verdict"] == "IRREDUCIBLE-CONSISTENT"
     assert obj["witness_degree"] is None
+    assert list(obj)[:3] == list(m.header()) == ["phi", "level", "truncation"]
 
 
 def test_truncation_validation():
