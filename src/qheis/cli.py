@@ -26,13 +26,6 @@ from .verma import PhiSignature, Truncation, VermaModule
 from .weyliso import verify_weyl_iso
 
 
-def _format_choice(args):
-    fmt = getattr(args, "format", None)
-    if fmt:
-        return fmt
-    return os.environ.get("QAFF_FORMAT", "json")
-
-
 def _emit(obj, fmt, table_renderer):
     if fmt == "json":
         print(json.dumps(obj, indent=2))
@@ -61,7 +54,7 @@ def _cmd_cartan(args):
         for r in o.get("positive_roots", []):
             yield "root\t" + "\t".join(str(x) for x in r)
 
-    _emit(obj, _format_choice(args), table)
+    _emit(obj, args.format, table)
     return 0
 
 
@@ -70,10 +63,10 @@ def _cmd_qnum(args):
     if args.at_q1:
         rat = specialize_q1(value)
         out = int(rat) if rat.denominator == 1 else str(rat)
-        print(json.dumps(out) if _format_choice(args) == "json" else out)
+        print(json.dumps(out) if args.format == "json" else out)
     else:
         text = str(value)
-        print(json.dumps(text) if _format_choice(args) == "json" else text)
+        print(json.dumps(text) if args.format == "json" else text)
     return 0
 
 
@@ -87,7 +80,7 @@ def _verify_table(rows):
 
 def _emit_checks(checks, args):
     rows = report_to_json(checks)
-    _emit(rows, _format_choice(args), _verify_table)
+    _emit(rows, args.format, _verify_table)
     return 0 if all(r["pass"] for r in rows) else 1
 
 
@@ -110,6 +103,8 @@ def _cmd_verma_dims(args):
     module = _module(args)
     lo = args.from_degree if args.from_degree is not None else -args.max_index
     hi = args.to_degree if args.to_degree is not None else args.max_index
+    if lo > hi:
+        raise ValueError(f"degree range {lo}..{hi} is reversed")
     obj = {**module.header(),
            "degrees": [module.graded_dim(n).to_json() for n in range(lo, hi + 1)]}
 
@@ -118,7 +113,7 @@ def _cmd_verma_dims(args):
         for row in o["degrees"]:
             yield f"{row['n']},{row['dim']},{row['verdict']}"
 
-    _emit(obj, _format_choice(args), table)
+    _emit(obj, args.format, table)
     return 0
 
 
@@ -132,12 +127,15 @@ def _cmd_verma_irred(args):
         for row in o["gram"]:
             yield f"gram\t{row['n']}\t{'nonzero' if row['nonzero'] else 'ZERO'}\t{row['det']}"
 
-    _emit(obj, _format_choice(args), table)
+    _emit(obj, args.format, table)
     return 0
 
 
 def _parse_vdims(text):
-    raw = json.loads(text)
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("--vdims is nested too deeply") from None
     if not isinstance(raw, dict) or not raw:
         raise ValueError('--vdims must be a nonempty JSON object {"degree": dim}')
     counts = {}
@@ -165,6 +163,8 @@ def _cmd_loop_mult(args):
         raise ValueError(f"--beta needs {cd.rank} comma-separated coefficients")
     if args.k_sweep:
         lo, hi = (int(x) for x in args.k_sweep.split(":"))
+        if lo > hi:
+            raise ValueError(f"--k-sweep {lo}:{hi} is reversed")
         ks = range(lo, hi + 1)
     else:
         ks = [args.k]
@@ -185,7 +185,7 @@ def _cmd_loop_mult(args):
         for row in rows:
             yield f"{row['mu']['k']},{row['truncated_count']},{row['verdict']}"
 
-    _emit(obj, _format_choice(args), table)
+    _emit(obj, args.format, table)
     return 0
 
 
@@ -286,6 +286,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        args.format = args.format or os.environ.get("QAFF_FORMAT", "json")
+        if args.format not in ("json", "table"):
+            raise ValueError(f"QAFF_FORMAT must be json or table, got {args.format!r}")
         return args.func(args)
     except (InvalidType, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
 from .heisenberg import _single_table_unchecked, central_bracket
-from .linalg import det
 from .qscalar import ONE, ZERO, Scalar
 from .termalg import (
     AlgebraElement,
@@ -161,7 +161,6 @@ class VermaModule:
         self.truncation = truncation
         self._table = self._build_table()
         self._counts = None
-        self._pair_cache = {}
 
     # -- presentation ------------------------------------------------
 
@@ -290,32 +289,25 @@ class VermaModule:
 
     # -- contravariant pairing ------------------------------------------
 
-    def _vacuum_coefficient(self, word) -> Scalar:
-        reduced = reduce_element(AlgebraElement.from_word(word), self._table)
-        total = ZERO
-        for (w, g), coeff in reduced.items():
-            if g != 0:
-                raise ValueError("gamma must be specialized to a level")
-            if not w:
-                total = total + coeff
-            # nonempty surviving words hit other basis vectors; raising-led
-            # words die on the highest vector
-        return total
+    def _pairing_scalar(self, i: int) -> Scalar:
+        """c_i, the central value of [a_i, a_{-i}] at the module's level."""
+        if self.level is None:
+            raise ValueError("gamma must be specialized to a level")
+        return central_bracket(i, self.level)[0]
 
     def _index_pair(self, i: int, e: int, f: int) -> Scalar:
-        key = (i, e, f)
-        if key not in self._pair_cache:
-            word = (a_gen(-self.lowering_degree(i)),) * e \
-                + (a_gen(self.lowering_degree(i)),) * f
-            self._pair_cache[key] = self._vacuum_coefficient(word)
-        return self._pair_cache[key]
+        """Wick's formula: the raising power empties the lowering one in e! ways,
+        each contracting to [raise, lower] = phi(i) c_i, and only when e == f."""
+        if e != f:
+            return ZERO
+        return factorial(e) * (self.phi(i) * self._pairing_scalar(i)) ** e
 
     def vacuum_pairing(self, u_exps, w_exps) -> Scalar:
         """<u v, w v>: the coefficient of the highest vector in sigma(u) w v.
 
         Generators of distinct indices commute and only pair within an index,
-        so the coefficient factors; each single-index factor is computed by
-        the rewriting engine and cached.
+        so the coefficient factors into single-index Wick factors, and the
+        pairing vanishes between distinct monomials.
         """
         out = ONE
         for i, (e, f) in enumerate(zip(u_exps, w_exps), start=1):
@@ -351,13 +343,16 @@ class VermaModule:
 
     def irreducible_at_truncation(self) -> IrreducibilityReport:
         N = self.truncation.max_index
-        pairing = tuple((k, central_bracket(k, self.level)[0]) for k in range(1, N + 1))
+        pairing = tuple((k, self._pairing_scalar(k)) for k in range(1, N + 1))
         dets = {}
         witness = None
         for n in self._witness_scan_order():
-            if not self.basis_component(n):
+            basis = self.basis_component(n)
+            if not basis:
                 continue
-            d = det(self.gram_matrix(n))
+            d = ONE  # the Gram block is diagonal: its determinant is the diagonal's product
+            for u in basis:
+                d = d * self.vacuum_pairing(u, u)
             dets[n] = d
             if d.is_zero and witness is None:
                 witness = n

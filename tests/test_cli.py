@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qheis.cli import run
 
@@ -29,6 +33,11 @@ CASES = {
                                    "--format", "table"],
     "verma_irred_level0.json": ["verma-irred", "--phi", "+", "--level", "0",
                                 "--max-index", "3", "--max-exp", "2"],
+    "verma_irred_plus_level2.json": ["verma-irred", "--phi", "+", "--level", "2",
+                                     "--max-index", "4", "--max-exp", "4"],
+    "verma_irred_mixed_table.txt": ["verma-irred", "--phi", "+-:+", "--level", "-2",
+                                    "--max-index", "3", "--max-exp", "3",
+                                    "--format", "table"],
     "loop_mult_sweep.json": ["loop-mult", "--type", "A", "--rank", "1", "--beta", "1",
                              "--k-sweep=-1:1", "--window", "2", "--phi", "+", "--level", "1"],
     "loop_mult_table.txt": ["loop-mult", "--type", "A", "--rank", "2", "--beta", "1,0",
@@ -95,6 +104,27 @@ def test_format_env_override(capsys, monkeypatch):
     assert capsys.readouterr().out == '"s^2 + s^-2 / 1"\n'
 
 
+@pytest.mark.parametrize("value", ["JSON", "xml", ""])
+def test_invalid_format_env_is_a_usage_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("QAFF_FORMAT", value)
+    assert run(["qnum", "--n", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "QAFF_FORMAT" in captured.err
+    # an explicit flag does not consult the environment
+    assert run(["qnum", "--n", "2", "--format", "table"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep=3:1"],
+    ["verma-dims", "--phi", "+", "--level", "1", "--from-degree", "3", "--to-degree", "1"],
+    ["verma-dims", "--phi", "+", "--level", "1", "--max-index", "2", "--from-degree", "3"],
+])
+def test_reversed_range_is_a_usage_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "reversed" in captured.err
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     import qheis.cli as cli
     from qheis.heisenberg import RelationCheck
@@ -123,6 +153,7 @@ def test_beta_length_validated(capsys):
     ('{"0": true}', "nonnegative"),
     ('{"x": 1}', "not an integer"),
     ("{", "Expecting"),
+    ("[" * 100_000, "nested too deeply"),
 ])
 def test_invalid_vdims_is_a_usage_error(vdims, needle, capsys):
     assert run(["loop-mult", "--type", "A", "--rank", "1", "--beta", "1",
@@ -145,3 +176,69 @@ def test_negative_window_is_a_usage_error(capsys):
     assert captured.out == "" and "window" in captured.err
     assert run(argv + ["0", "--format", "table"]) == 0
     assert capsys.readouterr().out == "k,count,verdict\n0,1,FINITE(1)\n"
+
+
+_LEVELS = st.integers(-3, 3)
+_SIGNS = st.text("+-", max_size=2)
+_PHI = (st.text("+-:x", max_size=5)
+        | st.tuples(_SIGNS, _SIGNS.filter(bool)).map(":".join) | _SIGNS.filter(bool))
+_TYPE_RANK = (st.tuples(st.sampled_from("ABCDEFG"), st.integers(0, 3))
+              | st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2),
+                                 ("C", 3), ("G", 2)]))
+_DIM = st.integers(-1, 3) | st.just("inf")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(-2, 3) | st.just("inf")
+    | st.text(max_size=2),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.integers(-3, 3).map(str) | st.text(max_size=2), kids, max_size=3),
+    max_leaves=6)
+_VDIMS = (_JSON | st.dictionaries(st.integers(-3, 3).map(str), _DIM, max_size=3)).map(json.dumps)
+
+
+@st.composite
+def _argv(draw):
+    """One command line of any subcommand, from small bounded values.  Each
+    value is drawn valid or arbitrary: bounds below 1, reversed ranges, a
+    mismatched --beta and malformed text reach the validation on purpose."""
+    def flag(name, strategy):
+        return [f"--{name}={draw(strategy)}"]
+
+    def maybe(name, strategy):
+        return flag(name, strategy) if draw(st.booleans()) else []
+
+    series, rank = draw(_TYPE_RANK)
+    type_rank = [f"--type={series}", f"--rank={rank}"]
+    truncation = flag("max-index", st.integers(0, 3)) + flag("max-exp", st.integers(0, 3))
+    ints = st.integers(-4, 4)
+    cmd = draw(st.sampled_from(["cartan", "qnum", "heis-verify", "weyl-verify",
+                                "verma-dims", "verma-irred", "loop-mult"]))
+    if cmd == "cartan":
+        args = type_rank + draw(st.sampled_from([[], ["--roots"]]))
+    elif cmd == "qnum":
+        args = flag("n", ints) + maybe("d", st.integers(-1, 3)) \
+            + draw(st.sampled_from([[], ["--at-q1"]]))
+    elif cmd in ("heis-verify", "weyl-verify"):
+        args = type_rank + flag("max-k", st.integers(-1, 2)) \
+            + maybe("convention", st.sampled_from(["paper", "drinfeld"]))
+        args += flag("level", _LEVELS) if cmd == "weyl-verify" else maybe("level", _LEVELS)
+    elif cmd == "verma-dims":
+        args = flag("phi", _PHI) + flag("level", _LEVELS) + truncation \
+            + maybe("from-degree", ints) + maybe("to-degree", ints)
+    elif cmd == "verma-irred":
+        args = flag("phi", _PHI) + flag("level", _LEVELS) + truncation
+    else:
+        length = draw(st.integers(0, 3) | st.just(rank))
+        beta = st.lists(st.integers(-1, 2), min_size=length, max_size=length)
+        sweep = st.tuples(ints, ints).map(lambda r: f"{r[0]}:{r[1]}")
+        args = type_rank + flag("beta", beta.map(lambda b: ",".join(map(str, b)))) \
+            + flag("window", st.integers(-1, 2)) + truncation + maybe("phi", _PHI) \
+            + maybe("level", _LEVELS) + maybe("vdims", _VDIMS) \
+            + draw(st.sampled_from([[], flag("k", ints), flag("k-sweep", sweep)]))
+    return [cmd] + args + maybe("format", st.sampled_from(["json", "table", "xml"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_argv())
+def test_run_fuzz_exits_with_a_contract_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) in (0, 1, 2)

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qheis.heisenberg import central_bracket
+from qheis.linalg import det
 from qheis.qscalar import ONE, ZERO, qint
 from qheis.termalg import AlgebraElement, a_gen, normal_order, reduce_element
 from qheis.verma import (
@@ -225,6 +226,24 @@ def test_vacuum_pairing_factored_equals_full_reduction():
             for u in m.basis_component(n):
                 for w in m.basis_component(n):
                     assert m.vacuum_pairing(u, w) == vacuum_pairing_unfactored(m, u, w)
+
+
+@pytest.mark.parametrize("level", [-2, 0, 1, 3])
+@pytest.mark.parametrize("phi", ["+", "-", "+-:+", "-:+"])
+def test_gram_dets_equal_det_of_the_rewritten_gram_block(phi, level):
+    # full rewriting of every entry is exponential in the exponent bound, so the
+    # mixed signatures, whose blocks are larger, stop at a smaller truncation
+    signature = PhiSignature.parse(phi)
+    bounds = [(4, 3)] if signature.is_constant() else [(2, 3), (3, 2), (4, 2)]
+    for n_max, e_max in bounds:
+        m = build_module(signature, level, Truncation(n_max, e_max))
+        rep = m.irreducible_at_truncation()
+        assert [n for n, _ in rep.gram_dets] == [n for n in range(-n_max, n_max + 1)
+                                                 if m.basis_component(n)]
+        for n, d in rep.gram_dets:
+            basis = m.basis_component(n)
+            block = [[vacuum_pairing_unfactored(m, u, w) for w in basis] for u in basis]
+            assert d == det(block), (phi, level, n_max, e_max, n)
 
 
 def test_unspecialized_gamma_is_rejected():
