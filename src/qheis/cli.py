@@ -278,11 +278,28 @@ def build_parser():
     return parser
 
 
+# argparse reads a token that starts with '-' and is not a number as an
+# option, so a signature such as -:+ or a sweep such as -1:1 that follows its
+# flag is bound to it here: "--phi -:+" parses as "--phi=-:+".
+_DASH_VALUED_FLAGS = ("--phi", "--k-sweep")
+_DASH_VALUE_CHARS = set("+-:0123456789")
+
+
+def _bind_dash_values(argv):
+    out = []
+    for token in argv:
+        if out and out[-1] in _DASH_VALUED_FLAGS and set(token) <= _DASH_VALUE_CHARS:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv) -> int:
     """Parse and execute; returns the exit code instead of raising SystemExit."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_bind_dash_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

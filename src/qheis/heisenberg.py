@@ -261,7 +261,11 @@ def central_bracket(k: int, level: int | None):
     return dict(_central_bracket_cached(k, level))
 
 
-def _single_table_unchecked(level: int | None) -> RelationTable:
+def single_heisenberg_table(level: int | None = None) -> RelationTable:
+    """Relations of the single-copy oscillator family a_k, optionally at gamma = q^level."""
+    if level == 0:
+        raise ZeroLevel("level must be nonzero when specialized")
+
     def comm(a: GenId, b: GenId):
         if a.flavor != FLAVOR_A or b.flavor != FLAVOR_A:
             raise ValueError(f"unexpected generators {a!r}, {b!r} in single-copy presentation")
@@ -270,10 +274,3 @@ def _single_table_unchecked(level: int | None) -> RelationTable:
         return central_bracket(a.degree, level)
 
     return RelationTable("single", generator_key, comm)
-
-
-def single_heisenberg_table(level: int | None = None) -> RelationTable:
-    """Relations of the single-copy oscillator family a_k, optionally at gamma = q^level."""
-    if level == 0:
-        raise ZeroLevel("level must be nonzero when specialized")
-    return _single_table_unchecked(level)

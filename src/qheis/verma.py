@@ -14,16 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .heisenberg import _single_table_unchecked, central_bracket
+from .heisenberg import central_bracket
 from .qscalar import ONE, ZERO, Scalar
-from .termalg import (
-    AlgebraElement,
-    GenId,
-    RelationTable,
-    _bump,
-    a_gen,
-    reduce_element,
-)
 
 __all__ = [
     "PhiSignature", "Truncation", "VermaModule", "build_module",
@@ -159,7 +151,6 @@ class VermaModule:
         self.phi = phi
         self.level = level
         self.truncation = truncation
-        self._table = self._build_table()
         self._counts = None
 
     # -- presentation ------------------------------------------------
@@ -168,30 +159,7 @@ class VermaModule:
         """Signed degree of the lowering generator at index i."""
         return -i if self.phi(i) > 0 else i
 
-    def _is_lowering(self, gen: GenId) -> bool:
-        return gen.degree == self.lowering_degree(abs(gen.degree))
-
-    def _build_table(self) -> RelationTable:
-        base = _single_table_unchecked(self.level)
-
-        def key(g):
-            return (0 if self._is_lowering(g) else 1, g.degree)
-
-        return RelationTable("verma", key, base.central_commutator)
-
-    @property
-    def table(self) -> RelationTable:
-        return self._table
-
     # -- basis -------------------------------------------------------
-
-    def monomial_word(self, exps) -> tuple:
-        gens = []
-        for i, e in enumerate(exps, start=1):
-            if e:
-                gens.extend([a_gen(self.lowering_degree(i))] * e)
-        gens.sort(key=self._table.sort_key)
-        return tuple(gens)
 
     def basis_component(self, n: int):
         """Exponent vectors of total degree n, in lexicographic order."""
@@ -222,32 +190,37 @@ class VermaModule:
 
     # -- generator action ---------------------------------------------
 
-    def _project(self, element: AlgebraElement):
-        """Apply a normal-ordered element to the highest vector, in the basis."""
-        N, E = self.truncation.max_index, self.truncation.max_exponent
-        out = {}
-        for (word, g), coeff in element.items():
-            if g != 0:
-                raise ValueError("gamma must be specialized to a level")
-            if any(not self._is_lowering(t) for t in word):
-                continue  # a raising factor reaches the highest vector
-            exps = [0] * N
-            for t in word:
-                i = abs(t.degree)
-                if i > N:
-                    raise TruncationExceeded(f"index {i} exceeds bound {N}")
-                exps[i - 1] += 1
-            if any(e > E for e in exps):
-                raise TruncationExceeded(f"exponent bound {E} exceeded")
-            _bump(out, tuple(exps), coeff)
-        return out
-
     def act(self, j: int, exps):
-        """Left action of a_j on a basis monomial, as {exponent vector: Scalar}."""
+        """Left action of a_j on a basis monomial, as {exponent vector: Scalar}.
+
+        A lowering a_j multiplies in one more factor at index i = |j|.  A
+        raising a_j commutes with every other index and, by Wick's formula
+        with one contraction, pairs with each of the e_i lowering factors at
+        i to [raise, lower] = phi(i) c_i; the uncontracted term kills the
+        highest vector.
+        """
         if j == 0:
             raise ValueError("generator degree must be nonzero")
-        word = (a_gen(j),) + self.monomial_word(exps)
-        return self._project(reduce_element(AlgebraElement.from_word(word), self._table))
+        N, E = self.truncation.max_index, self.truncation.max_exponent
+        if len(exps) != N or any(not 0 <= e <= E for e in exps):
+            raise ValueError(f"{tuple(exps)} is not a basis vector: it needs {N} "
+                             f"exponents in 0..{E}")
+        i = abs(j)
+        out = list(exps)
+        if j == self.lowering_degree(i):
+            if i > N:
+                raise TruncationExceeded(f"index {i} exceeds bound {N}")
+            if exps[i - 1] == E:
+                raise TruncationExceeded(f"exponent bound {E} exceeded")
+            out[i - 1] += 1
+            return {tuple(out): ONE}
+        if i > N or exps[i - 1] == 0:
+            return {}
+        coeff = exps[i - 1] * self.phi(i) * self._pairing_scalar(i)
+        if coeff.is_zero:
+            return {}
+        out[i - 1] -= 1
+        return {tuple(out): coeff}
 
     # -- graded dimensions ---------------------------------------------
 
@@ -324,13 +297,6 @@ class VermaModule:
         if not basis:
             raise EmptyComponent(f"no basis monomials in degree {n}")
         return [[self.vacuum_pairing(u, w) for w in basis] for u in basis]
-
-    def sigma(self, element: AlgebraElement) -> AlgebraElement:
-        """The anti-involution a_i -> a_{-i} (reverses words, fixes gamma powers)."""
-        pending = {}
-        for (word, g), coeff in element.items():
-            _bump(pending, (tuple(a_gen(-t.degree) for t in reversed(word)), g), coeff)
-        return reduce_element(AlgebraElement(pending), self._table)
 
     # -- irreducibility at truncation -------------------------------------
 

@@ -125,6 +125,23 @@ def test_reversed_range_is_a_usage_error(argv, capsys):
     assert captured.out == "" and "reversed" in captured.err
 
 
+@pytest.mark.parametrize("split,joined", [
+    (["verma-dims", "--phi", "-+", "--level", "1", "--max-index", "3", "--max-exp", "2"],
+     ["verma-dims", "--phi=-+", "--level", "1", "--max-index", "3", "--max-exp", "2"]),
+    (["verma-irred", "--phi", "-:+", "--level", "1", "--max-index", "3", "--max-exp", "2"],
+     ["verma-irred", "--phi=-:+", "--level", "1", "--max-index", "3", "--max-exp", "2"]),
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--phi", "-:+",
+      "--k-sweep", "-1:1", "--window", "2", "--max-index", "3", "--max-exp", "2"],
+     ["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--phi=-:+",
+      "--k-sweep=-1:1", "--window", "2", "--max-index", "3", "--max-exp", "2"]),
+])
+def test_value_starting_with_a_dash_may_follow_its_flag(split, joined, capsys):
+    assert run(joined) == 0
+    expected = capsys.readouterr().out
+    assert run(split) == 0
+    assert capsys.readouterr().out == expected != ""
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     import qheis.cli as cli
     from qheis.heisenberg import RelationCheck
@@ -199,9 +216,14 @@ _VDIMS = (_JSON | st.dictionaries(st.integers(-3, 3).map(str), _DIM, max_size=3)
 def _argv(draw):
     """One command line of any subcommand, from small bounded values.  Each
     value is drawn valid or arbitrary: bounds below 1, reversed ranges, a
-    mismatched --beta and malformed text reach the validation on purpose."""
+    mismatched --beta and malformed text reach the validation on purpose.
+    --phi and --k-sweep come as one token or two, since their values may
+    start with '-'."""
     def flag(name, strategy):
-        return [f"--{name}={draw(strategy)}"]
+        value = draw(strategy)
+        if name in ("phi", "k-sweep") and draw(st.booleans()):
+            return [f"--{name}", value]
+        return [f"--{name}={value}"]
 
     def maybe(name, strategy):
         return flag(name, strategy) if draw(st.booleans()) else []

@@ -5,7 +5,7 @@ import pytest
 from qheis.heisenberg import central_bracket
 from qheis.linalg import det
 from qheis.qscalar import ONE, ZERO, qint
-from qheis.termalg import AlgebraElement, a_gen, normal_order, reduce_element
+from qheis.termalg import AlgebraElement, RelationTable, a_gen, reduce_element
 from qheis.verma import (
     EmptyComponent,
     PhiSignature,
@@ -28,6 +28,66 @@ def brute_force_dims(module, degree):
         if sum(e * d for e, d in zip(exps, degs)) == degree:
             count += 1
     return count
+
+
+# -- the rewriting route, kept as the oracle for the closed forms in verma ----
+
+
+def is_lowering(module, gen):
+    return gen.degree == module.lowering_degree(abs(gen.degree))
+
+
+def rewriting_table(module):
+    """The module's presentation: [a_k, a_-k] = c_k at its level, with the
+    lowering generators ordered first, so that a normal word ends in the
+    raising factors that kill the highest vector."""
+    def comm(a, b):
+        return central_bracket(a.degree, module.level) if a.degree + b.degree == 0 else {}
+
+    return RelationTable("verma", lambda g: (0 if is_lowering(module, g) else 1, g.degree), comm)
+
+
+def monomial_word(module, exps, raising=False):
+    """The normal-ordered word of the lowering monomial with these exponents,
+    or of its raising counterpart."""
+    sign = -1 if raising else 1
+    gens = []
+    for i, e in enumerate(exps, start=1):
+        gens.extend([a_gen(sign * module.lowering_degree(i))] * e)
+    gens.sort(key=rewriting_table(module).sort_key)
+    return tuple(gens)
+
+
+def act_by_rewriting(module, j, exps):
+    """Reference route for act: normal-order a_j times the monomial and
+    apply the result to the highest vector, in the basis."""
+    N, E = module.truncation.max_index, module.truncation.max_exponent
+    word = (a_gen(j),) + monomial_word(module, exps)
+    reduced = reduce_element(AlgebraElement.from_word(word), rewriting_table(module))
+    out = {}
+    for (w, g), coeff in reduced.items():
+        if g != 0:
+            raise ValueError("gamma must be specialized to a level")
+        if any(not is_lowering(module, t) for t in w):
+            continue  # a raising factor reaches the highest vector
+        image = [0] * N
+        for t in w:
+            i = abs(t.degree)
+            if i > N:
+                raise TruncationExceeded(f"index {i} exceeds bound {N}")
+            image[i - 1] += 1
+        if any(e > E for e in image):
+            raise TruncationExceeded(f"exponent bound {E} exceeded")
+        out[tuple(image)] = out.get(tuple(image), ZERO) + coeff
+    return {v: c for v, c in out.items() if not c.is_zero}
+
+
+def vacuum_pairing_unfactored(module, u_exps, w_exps):
+    """Reference route: reduce the full word sigma(u) w at once and read off
+    the highest-vector coefficient."""
+    word = monomial_word(module, u_exps, raising=True) + monomial_word(module, w_exps)
+    reduced = reduce_element(AlgebraElement.from_word(word), rewriting_table(module))
+    return sum((c for (w, g), c in reduced.items() if not w), ZERO)
 
 
 def test_phi_signature_parse_render_eval():
@@ -97,6 +157,33 @@ def test_act_truncation_errors():
         m.act(-3, (0, 0))
     with pytest.raises(TruncationExceeded):
         m.act(-1, (2, 0))
+
+
+def test_act_rejects_a_vector_that_is_not_a_basis_vector():
+    m = build_module(PLUS, 1, Truncation(2, 2))
+    for exps in [(0,), (0, 0, 0), (1, 0, 1), (3, 0), (-1, 0)]:
+        for j in (-1, 1):
+            with pytest.raises(ValueError, match="not a basis vector"):
+                m.act(j, exps)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("phi", ["+", "-", "+-:+", "-:+", ":+-", "-+:-"])
+def test_act_equals_the_rewriting_route(phi):
+    for level in (-2, 0, 1, 3, None):
+        for n_max, e_max in ((3, 2), (2, 3), (4, 2)):
+            m = build_module(PhiSignature.parse(phi), level, Truncation(n_max, e_max))
+            js = [j for i in range(1, n_max + 2) for j in (-i, i)]
+            for exps in itertools.product(range(e_max + 1), repeat=n_max):
+                for j in js:
+                    assert (_outcome(lambda: m.act(j, exps))
+                            == _outcome(lambda: act_by_rewriting(m, j, exps))), (level, j, exps)
 
 
 def test_module_axioms_at_truncation():
@@ -190,7 +277,7 @@ def test_gram_matrix_level_zero_vanishes():
         assert all(x.is_zero for row in g for x in row)
 
 
-def test_gram_matrix_symmetric_and_sigma_involutive():
+def test_gram_matrix_symmetric():
     m = build_module(MIXED, 2, Truncation(4, 3))
     for n in (-2, 0, 1):
         basis = m.basis_component(n)
@@ -198,25 +285,6 @@ def test_gram_matrix_symmetric_and_sigma_involutive():
             continue
         g = m.gram_matrix(n)
         assert g == [[g[j][i] for j in range(len(g))] for i in range(len(g))]
-    x = normal_order([a_gen(2), a_gen(-1), a_gen(-1)], m.table)
-    assert m.sigma(m.sigma(x)) == x
-
-
-def raising_word(module, exps):
-    """The raising counterpart of module.monomial_word, in normal order."""
-    gens = []
-    for i, e in enumerate(exps, start=1):
-        gens.extend([a_gen(-module.lowering_degree(i))] * e)
-    gens.sort(key=module.table.sort_key)
-    return tuple(gens)
-
-
-def vacuum_pairing_unfactored(module, u_exps, w_exps):
-    """Reference route: reduce the full word sigma(u) w at once and read off
-    the highest-vector coefficient."""
-    word = raising_word(module, u_exps) + module.monomial_word(w_exps)
-    reduced = reduce_element(AlgebraElement.from_word(word), module.table)
-    return sum((c for (w, g), c in reduced.items() if not w), ZERO)
 
 
 def test_vacuum_pairing_factored_equals_full_reduction():
