@@ -1,7 +1,10 @@
 """Command-line front end: every verification and computation, machine-readable.
 
 Exit codes: 0 on success and on verification PASS, 1 on verification FAIL
-(residues are printed), 2 on usage errors.  Output goes to stdout in the
+(residues are printed), 2 on usage errors, 3 when exact arithmetic fails (a
+division by zero, a pole at q = 1, a singular matrix or an inexact polynomial
+division; no valid input is known to reach it), and 141 (128 + SIGPIPE) when
+the reader closes stdout early.  Output goes to stdout in the
 requested format (json or table); diagnostics go to stderr.  The QAFF_FORMAT
 environment variable overrides the default output format.
 """
@@ -280,15 +283,33 @@ def build_parser():
 
 # argparse reads a token that starts with '-' and is not a number as an
 # option, so a signature such as -:+ or a sweep such as -1:1 that follows its
-# flag is bound to it here: "--phi -:+" parses as "--phi=-:+".
+# flag is bound to it here: "--phi -:+" parses as "--phi=-:+".  A flag may be
+# abbreviated as argparse allows: an exact option name wins, else a prefix
+# that only one of the subcommand's options starts with.
 _DASH_VALUED_FLAGS = ("--phi", "--k-sweep")
 _DASH_VALUE_CHARS = set("+-:0123456789")
 
 
-def _bind_dash_values(argv):
+def _long_options(parser, argv):
+    command = next((t for t in argv if not t.startswith("-")), None)
+    for action in parser._subparsers._group_actions:
+        sub = action.choices.get(command)
+        if sub is not None:
+            return [o for o in sub._option_string_actions if o.startswith("--")]
+    return []
+
+
+def _resolve_flag(token, options):
+    # an exact name is also a prefix of any longer option, so it stays itself
+    matches = [o for o in options if o.startswith(token)]
+    return matches[0] if len(matches) == 1 else token
+
+
+def _bind_dash_values(argv, options):
     out = []
     for token in argv:
-        if out and out[-1] in _DASH_VALUED_FLAGS and set(token) <= _DASH_VALUE_CHARS:
+        if (out and _resolve_flag(out[-1], options) in _DASH_VALUED_FLAGS
+                and set(token) <= _DASH_VALUE_CHARS):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -299,7 +320,7 @@ def run(argv) -> int:
     """Parse and execute; returns the exit code instead of raising SystemExit."""
     parser = build_parser()
     try:
-        args = parser.parse_args(_bind_dash_values(argv))
+        args = parser.parse_args(_bind_dash_values(argv, _long_options(parser, argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
@@ -310,10 +331,21 @@ def run(argv) -> int:
     except (InvalidType, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: arithmetic failure ({type(exc).__name__}): {exc}", file=sys.stderr)
+        return 3
 
 
 def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    try:
+        code = run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (as "| head" does): stop quietly, and
+        # point stdout at devnull so the flush at interpreter exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

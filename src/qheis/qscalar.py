@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -50,7 +51,71 @@ def _pneg(a):
     return {e: -c for e, c in a.items()}
 
 
+# Below this many term pairs the schoolbook loop beats packing into ints.
+_KRONECKER_MIN_PAIRS = 64
+
+
 def _pmul(a, b):
+    """The product of two Laurent polynomials.
+
+    Large products go through Kronecker substitution (Harvey, arXiv:0712.4046):
+    both operands are scaled to integer coefficients, each is packed into one
+    int with a digit of 8*nbytes bits per exponent step, the two ints are
+    multiplied, and the product is read back digit by digit.  A digit holds
+    any coefficient of modulus below 2^(8*nbytes - 1), and no product
+    coefficient exceeds max|a| * max|b| * min(len a, len b).
+    """
+    if len(a) * len(b) < _KRONECKER_MIN_PAIRS:
+        return _pmul_schoolbook(a, b)
+    den_a, ints_a = _integer_coefficients(a)
+    den_b, ints_b = _integer_coefficients(b)
+    low_a, low_b = min(a), min(b)
+    # exponents often step by 2 or 4 (powers of q = s^2): pack one digit per step
+    step = gcd(*(e - low_a for e in a), *(e - low_b for e in b))
+    bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
+             * min(len(a), len(b)))
+    nbytes = (bound.bit_length() + 8) // 8
+    digits_a = (max(a) - low_a) // step + 1
+    digits_b = (max(b) - low_b) // step + 1
+    digits = digits_a + digits_b - 1
+    product = (_pack(ints_a, low_a, step, nbytes, digits_a)
+               * _pack(ints_b, low_b, step, nbytes, digits_b))
+    # a half-digit bias makes every digit nonnegative, so one to_bytes unpacks
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * digits, "little")
+    raw = (product + bias).to_bytes(digits * nbytes, "little")
+    den = den_a * den_b
+    low = low_a + low_b
+    out = {}
+    for k in range(digits):
+        c = int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") - half
+        if c:
+            out[low + k * step] = Fraction(c, den)
+    return out
+
+
+def _integer_coefficients(p):
+    # (d, {e: d * c}) with d the least common denominator of the coefficients
+    den = lcm(*(c.denominator for c in p.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in p.items()}
+
+
+def _pack(ints, low, step, nbytes, digits):
+    # sum of c * 2^(8 * nbytes * (e - low) / step), positive and negative
+    # coefficients written into separate little-endian buffers
+    pos = bytearray(digits * nbytes)
+    neg = bytearray(digits * nbytes)
+    for e, c in ints.items():
+        i = (e - low) // step * nbytes
+        if c > 0:
+            pos[i:i + nbytes] = c.to_bytes(nbytes, "little")
+        else:
+            neg[i:i + nbytes] = (-c).to_bytes(nbytes, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _pmul_schoolbook(a, b):
+    # term by term; the reference that the Kronecker route is tested against
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -91,22 +156,13 @@ def _pdivmod(num, den):
 
 def _int_primitive(p):
     # integer multiple of p with coprime coefficients (content stripped)
-    from math import gcd as _gcd
-
-    scale = 1
-    for c in p.values():
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
-    ints = {e: int(c * scale) for e, c in p.items()}
-    content = 0
-    for c in ints.values():
-        content = _gcd(content, c)
+    ints = _integer_coefficients(p)[1]
+    content = gcd(*ints.values())
     return {e: c // content for e, c in ints.items()}
 
 
 def _int_pseudo_rem(a, b):
     # primitive pseudo-remainder sequence step over the integers
-    from math import gcd as _gcd
-
     dtop = max(b)
     lead = b[dtop]
     r = dict(a)
@@ -123,7 +179,7 @@ def _int_pseudo_rem(a, b):
                 new.pop(ne, None)
         content = 0
         for cc in new.values():
-            content = _gcd(content, cc)
+            content = gcd(content, cc)
         r = {ee: cc // content for ee, cc in new.items()} if content else {}
     return r
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .heisenberg import central_bracket
 from .qscalar import ONE, ZERO, Scalar
@@ -307,6 +307,26 @@ class VermaModule:
             yield m
         yield 0
 
+    def _block_det(self, basis, pairing) -> Scalar:
+        """The determinant of a Gram block, in closed form.
+
+        The block is diagonal, and its diagonal entries are the Wick products
+        prod_i e_i! (phi(i) c_i)^(e_i), so the determinant is
+        (prod_u prod_i e_i!) * prod_i (phi(i) c_i)^(E_i) with E_i = sum_u e_i:
+        one power per index.
+        """
+        count = 1
+        out = ONE
+        for (i, c), column in zip(pairing, zip(*basis)):
+            total = sum(column)
+            if not total:
+                continue
+            if c.is_zero:
+                return ZERO
+            count *= prod(map(factorial, column))
+            out = out * (self.phi(i) * c) ** total
+        return count * out
+
     def irreducible_at_truncation(self) -> IrreducibilityReport:
         N = self.truncation.max_index
         pairing = tuple((k, self._pairing_scalar(k)) for k in range(1, N + 1))
@@ -316,10 +336,7 @@ class VermaModule:
             basis = self.basis_component(n)
             if not basis:
                 continue
-            d = ONE  # the Gram block is diagonal: its determinant is the diagonal's product
-            for u in basis:
-                d = d * self.vacuum_pairing(u, u)
-            dets[n] = d
+            dets[n] = d = self._block_det(basis, pairing)
             if d.is_zero and witness is None:
                 witness = n
         ok = witness is None and all(not c.is_zero for _, c in pairing)

@@ -1,13 +1,21 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qheis.cli as cli
 from qheis.cli import run
+from qheis.linalg import invert
+from qheis.qscalar import ONE, ZERO, _pdiv_exact, s_power, specialize_q1
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -142,8 +150,86 @@ def test_value_starting_with_a_dash_may_follow_its_flag(split, joined, capsys):
     assert capsys.readouterr().out == expected != ""
 
 
+@pytest.mark.parametrize("abbreviated,full", [
+    (["verma-dims", "--ph", "-:+", "--level", "1"], ["verma-dims", "--phi=-:+", "--level", "1"]),
+    (["verma-irred", "--p", "-", "--level", "1", "--max-index", "3", "--max-exp", "2"],
+     ["verma-irred", "--phi=-", "--level", "1", "--max-index", "3", "--max-exp", "2"]),
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sw", "-1:1",
+      "--window", "2", "--ph", "-:+", "--max-index", "3", "--max-exp", "2"],
+     ["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep=-1:1",
+      "--window", "2", "--phi=-:+", "--max-index", "3", "--max-exp", "2"]),
+    # an exact option name wins over the longer options it is a prefix of
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k", "-1"],
+     ["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k=-1"]),
+])
+def test_abbreviated_flag_takes_a_value_starting_with_a_dash(abbreviated, full, capsys):
+    assert run(full) == 0
+    expected = capsys.readouterr().out
+    assert run(abbreviated) == 0
+    assert capsys.readouterr().out == expected != ""
+
+
+def test_ambiguous_abbreviation_is_a_usage_error(capsys):
+    assert run(["verma-dims", "--phi", "+", "--level", "1", "--max", "3"]) == 2
+    assert "ambiguous" in capsys.readouterr().err
+
+
+def test_large_mixed_verma_irred_output_is_pinned(capsys):
+    # 522,249 bytes of Gram determinants, pinned before the Kronecker product
+    # and the one-power-per-index determinant replaced the diagonal product
+    assert run(["verma-irred", "--phi=+-:+", "--level", "3", "--max-index", "4",
+                "--max-exp", "4"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) == 522_249
+    assert hashlib.sha256(out).hexdigest() == (
+        "de8fbe0b46a170e7245be9b013aa76fa23624881480ddffe6d5154342010d1e2")
+
+
+def _arithmetic_failures():
+    yield "DivisionByZero", lambda: ONE / ZERO
+    yield "PoleAtOne", lambda: specialize_q1(ONE / (s_power(2) - ONE))
+    yield "SingularMatrix", lambda: invert([[ZERO]])
+    yield "inexact polynomial division", \
+        lambda: _pdiv_exact({1: Fraction(1)}, {1: Fraction(1), 0: Fraction(1)})
+
+
+@pytest.mark.parametrize("needle,failure", list(_arithmetic_failures()),
+                         ids=["DivisionByZero", "PoleAtOne", "SingularMatrix", "inexact"])
+@pytest.mark.parametrize("argv", [
+    ["cartan", "--type", "A", "--rank", "1"],
+    ["qnum", "--n", "2"],
+    ["heis-verify", "--type", "A", "--rank", "1", "--max-k", "1"],
+    ["weyl-verify", "--type", "A", "--rank", "1", "--level", "1", "--max-k", "1"],
+    ["verma-dims", "--phi", "+", "--level", "1"],
+    ["verma-irred", "--phi", "+", "--level", "1"],
+    ["loop-mult", "--type", "A", "--rank", "1", "--beta", "1"],
+], ids=lambda argv: argv[0])
+def test_arithmetic_failure_exits_three_without_a_traceback(argv, needle, failure,
+                                                            capsys, monkeypatch):
+    handler = "_cmd_" + argv[0].replace("-", "_")
+    monkeypatch.setattr(cli, handler, lambda args: failure())
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: arithmetic failure") and needle in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # the read end is closed before the child writes, as "| head -3" does
+    # once it has its lines; unbuffered, print fails, else the final flush
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+    child = subprocess.Popen([sys.executable, "-m", "qheis.cli", "qnum", "--n", "3"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait() == 141
+    assert err == b""
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
-    import qheis.cli as cli
     from qheis.heisenberg import RelationCheck
     from qheis.termalg import AlgebraElement
 
@@ -217,13 +303,16 @@ def _argv(draw):
     """One command line of any subcommand, from small bounded values.  Each
     value is drawn valid or arbitrary: bounds below 1, reversed ranges, a
     mismatched --beta and malformed text reach the validation on purpose.
-    --phi and --k-sweep come as one token or two, since their values may
-    start with '-'."""
+    Flags may be abbreviated.  --phi and --k-sweep and their abbreviations
+    come as one token or two, since their values may start with '-'."""
     def flag(name, strategy):
         value = draw(strategy)
+        spelled = name
+        if draw(st.booleans()):  # abbreviated, perhaps ambiguously
+            spelled = name[:draw(st.integers(1, len(name)))]
         if name in ("phi", "k-sweep") and draw(st.booleans()):
-            return [f"--{name}", value]
-        return [f"--{name}={value}"]
+            return [f"--{spelled}", value]
+        return [f"--{spelled}={value}"]
 
     def maybe(name, strategy):
         return flag(name, strategy) if draw(st.booleans()) else []

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qheis.qscalar import (
+    _KRONECKER_MIN_PAIRS,
     ONE,
     ZERO,
     DivisionByZero,
     PoleAtOne,
     Scalar,
     UndefinedFactorial,
+    _pmul,
+    _pmul_schoolbook,
     arith,
     parse_scalar,
     q_power,
@@ -246,3 +249,68 @@ def test_inexact_polynomial_division_is_an_explicit_error():
     assert _pdiv_exact({2: Fraction(1), 1: Fraction(1)}, x) == {1: Fraction(1), 0: Fraction(1)}
     with pytest.raises(ArithmeticError, match="inexact"):
         _pdiv_exact(x, {1: Fraction(1), 0: Fraction(1)})
+
+
+# -- the Kronecker-substitution product against the schoolbook loop -----------
+
+_BIG = 10**40
+_COEFFS = (st.fractions(min_value=-9, max_value=9, max_denominator=12)
+           | st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+           | st.integers(-_BIG, _BIG).map(Fraction))
+
+
+@st.composite
+def laurent_polys(draw, max_size=24):
+    step = draw(st.sampled_from([1, 2, 3, 4]))
+    low = draw(st.integers(-60, 60))
+    offsets = st.integers(0, 40).map(lambda k: low + step * k)
+    poly = draw(st.dictionaries(offsets, _COEFFS, min_size=1, max_size=max_size))
+    return {e: c for e, c in poly.items() if c} or {low: Fraction(1)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_polys(), laurent_polys())
+def test_kronecker_product_equals_schoolbook(a, b):
+    assert _pmul(a, b) == _pmul_schoolbook(a, b)
+
+
+@pytest.mark.parametrize("sizes", [(7, 9), (8, 8), (1, 64), (9, 20), (40, 40)])
+def test_kronecker_product_on_both_sides_of_the_threshold(sizes):
+    assert _KRONECKER_MIN_PAIRS == 64  # the sizes straddle it
+    rng = random.Random(sum(sizes))
+    for _ in range(20):
+        a, b = ({e: Fraction(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**3))
+                 for e in rng.sample(range(-50, 51), n)} for n in sizes)
+        assert _pmul(a, b) == _pmul_schoolbook(a, b)
+
+
+@pytest.mark.parametrize("den", [1, 3**7])
+@pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (-1, -1)])
+@pytest.mark.parametrize("past_edge", [False, True])
+@pytest.mark.parametrize("sizes", [(1, 64), (8, 8), (3, 30)])
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
+def test_kronecker_product_at_the_digit_bound(nbytes, sizes, past_edge, signs, den):
+    # equal coefficients on consecutive exponents put n*A*B, the bound
+    # max|a| * max|b| * min(len a, len b) itself, in the middle of the product:
+    # the largest such value that fits an nbytes-byte signed digit, or the
+    # smallest that does not
+    n = min(sizes)
+    edge = 1 << (8 * nbytes - 1)
+    big = -(-edge // n) if past_edge else (edge - 1) // n
+    a = {e: Fraction(signs[0] * big, den) for e in range(-3, sizes[0] - 3)}
+    b = {e: Fraction(signs[1], den) for e in range(5, sizes[1] + 5)}
+    got = _pmul(a, b)
+    peak = max(got.values(), key=abs)
+    assert abs(peak) * den * den == n * big and (n * big >= edge) == past_edge
+    assert got == _pmul_schoolbook(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), st.integers(-4, 6))
+def test_power_equals_repeated_product(x, k):
+    if x.is_zero and k < 0:
+        return
+    expected = ONE
+    for _ in range(abs(k)):
+        expected = expected * x
+    assert x ** k == (expected if k >= 0 else ONE / expected)

@@ -314,6 +314,19 @@ def test_gram_dets_equal_det_of_the_rewritten_gram_block(phi, level):
             assert d == det(block), (phi, level, n_max, e_max, n)
 
 
+@pytest.mark.parametrize("level", range(-3, 4))
+@pytest.mark.parametrize("phi", ["+", "-", "+-:+", "-:+"])
+def test_gram_dets_equal_the_product_of_the_diagonal_pairings(phi, level):
+    # the one-power-per-index closed form against one vacuum_pairing per vector
+    for n_max, e_max in itertools.product(range(1, 5), repeat=2):
+        m = build_module(PhiSignature.parse(phi), level, Truncation(n_max, e_max))
+        for n, d in m.irreducible_at_truncation().gram_dets:
+            diagonal = ONE
+            for u in m.basis_component(n):
+                diagonal = diagonal * m.vacuum_pairing(u, u)
+            assert d == diagonal, (n_max, e_max, n)
+
+
 def test_unspecialized_gamma_is_rejected():
     # a formal level leaves gamma powers that no basis vector carries
     m = build_module(PLUS, None, Truncation(2, 2))
