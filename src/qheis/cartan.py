@@ -128,36 +128,6 @@ class FiniteRoot:
 
     coeffs: tuple
 
-    @property
-    def height(self):
-        return sum(self.coeffs)
-
-    def __add__(self, other):
-        return FiniteRoot(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        return FiniteRoot(tuple(-a for a in self.coeffs))
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """An element of the affine root lattice: finite part plus a delta coefficient."""
-
-    finite: tuple
-    delta: int
-
-    def __add__(self, other):
-        return LatticePoint(
-            tuple(a + b for a, b in zip(self.finite, other.finite)),
-            self.delta + other.delta,
-        )
-
-    def __neg__(self):
-        return LatticePoint(tuple(-a for a in self.finite), -self.delta)
-
-    def __sub__(self, other):
-        return self + (-other)
-
 
 @dataclass(frozen=True)
 class CartanData:
@@ -171,10 +141,6 @@ class CartanData:
     @property
     def finite_gcm(self):
         return tuple(tuple(row[1:]) for row in self.gcm[1:])
-
-    @property
-    def finite_d(self):
-        return self.d[1:]
 
     def bilinear(self, i, j):
         n = self.rank
@@ -230,7 +196,3 @@ def load_type(series: str, rank: int) -> CartanData:
 def positive_roots(cd: CartanData):
     """All finite positive roots, sorted by height then lexicographically."""
     return [FiniteRoot(r) for r in _positive_roots([list(r) for r in cd.finite_gcm])]
-
-
-def highest_root(cd: CartanData) -> FiniteRoot:
-    return positive_roots(cd)[-1]

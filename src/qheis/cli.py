@@ -134,9 +134,19 @@ def _cmd_verma_irred(args):
     return 0
 
 
+def _unique_keys(pairs):
+    # json.loads keeps the last of repeated keys; here a repeat is an error
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"--vdims: key {key!r} is given twice")
+        obj[key] = val
+    return obj
+
+
 def _parse_vdims(text):
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("--vdims is nested too deeply") from None
     if not isinstance(raw, dict) or not raw:
@@ -148,6 +158,8 @@ def _parse_vdims(text):
             m = int(key)
         except ValueError:
             raise ValueError(f"--vdims: degree {key!r} is not an integer") from None
+        if m in counts:
+            raise ValueError(f"--vdims: degree {m} is given twice (as {key!r})")
         if val == "inf":
             infinite.add(m)
             counts[m] = 0

@@ -9,15 +9,14 @@ selected verdicts cite the analytic statements, not extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .cartan import CartanData, LatticePoint, positive_roots
+from .cartan import CartanData, positive_roots
 from .verma import PhiSignature, Truncation, Verdict, VermaModule, partition_count
 
 __all__ = [
-    "NotInSupport", "GradedDims", "MultiplicityReport", "RootSetS",
-    "support_contains", "weight_multiplicity", "phi_verma_weight_dim",
-    "phi_verma_graded_dims",
+    "NotInSupport", "GradedDims", "MultiplicityReport", "support_contains",
+    "weight_multiplicity", "phi_verma_weight_dim", "phi_verma_graded_dims",
 ]
 
 
@@ -212,58 +211,3 @@ def phi_verma_weight_dim(cartan: CartanData, phis, level: int, beta, k: int,
         report = MultiplicityReport(report.beta, report.k, report.truncated_count,
                                     Verdict("INFINITE"), report.max_abs_k)
     return report
-
-
-@dataclass(frozen=True)
-class RootSetS:
-    """The non-standard half S of the affine root system, with the three-block
-    ordering of the positive roots used for monomial bookkeeping."""
-
-    cartan: CartanData
-    _pos: frozenset = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        pos = frozenset(r.coeffs for r in positive_roots(self.cartan))
-        object.__setattr__(self, "_pos", pos)
-
-    def _finite_side(self, finite):
-        if all(c == 0 for c in finite):
-            return 0
-        if finite in self._pos:
-            return 1
-        if tuple(-c for c in finite) in self._pos:
-            return -1
-        raise ValueError(f"{finite} is not a finite root")
-
-    def contains(self, p: LatticePoint) -> bool:
-        side = self._finite_side(p.finite)
-        if side == 0:
-            if p.delta == 0:
-                raise ValueError("zero is not a root")
-            return p.delta > 0
-        return side > 0
-
-    def ordering_block(self, p: LatticePoint) -> int:
-        """1, 2, 3 for the three descending blocks of the positive-root ordering."""
-        side = self._finite_side(p.finite)
-        if side > 0 and p.delta >= 0:
-            return 1
-        if side == 0 and p.delta > 0:
-            return 2
-        if side < 0 and p.delta > 0:
-            return 3
-        raise ValueError(f"{p} is not a positive affine root")
-
-    def real_window(self, max_abs_k: int):
-        out = []
-        for r in sorted(self._pos):
-            for sign in (1, -1):
-                finite = tuple(sign * c for c in r)
-                for m in range(-max_abs_k, max_abs_k + 1):
-                    out.append(LatticePoint(finite, m))
-        return out
-
-    def imaginary_window(self, max_abs_k: int):
-        n = self.cartan.rank
-        zero = tuple([0] * n)
-        return [LatticePoint(zero, m) for m in range(-max_abs_k, max_abs_k + 1) if m]

@@ -6,8 +6,8 @@ polynomial factor, and the denominator is an ordinary polynomial with
 nonzero constant term and leading coefficient 1.  Equality of canonical
 forms is structural, so ``==`` decides equality in the field.
 
-Quantum integers, factorials and binomials are built on top, together with
-the specialization q -> 1.
+Quantum integers and factorials are built on top, together with the
+specialization q -> 1.
 """
 
 from __future__ import annotations
@@ -257,6 +257,12 @@ def _exact(c):
     return Fraction(c)
 
 
+def _exponent(e):
+    if not isinstance(e, int):
+        raise TypeError(f"exponents must be int, not {type(e).__name__}")
+    return e
+
+
 class Scalar:
     """An exact rational function of s = q^(1/2), always canonical."""
 
@@ -265,8 +271,8 @@ class Scalar:
     def __init__(self, num, den=None):
         if den is None:
             den = {0: Fraction(1)}
-        num = _trim({e: _exact(c) for e, c in num.items()})
-        den = _trim({e: _exact(c) for e, c in den.items()})
+        num = _trim({_exponent(e): _exact(c) for e, c in num.items()})
+        den = _trim({_exponent(e): _exact(c) for e, c in den.items()})
         self._num, self._den = _canonical(num, den)
         self._key = (
             tuple(sorted(self._num.items())),
@@ -299,11 +305,6 @@ class Scalar:
     @property
     def is_laurent(self):
         return self._den == {0: Fraction(1)}
-
-    def bar(self):
-        """The image under s -> s^(-1)."""
-        return Scalar({-e: c for e, c in self._num.items()},
-                      {-e: c for e, c in self._den.items()})
 
     @staticmethod
     def _coerce(x):
@@ -459,11 +460,6 @@ def s_power(e: int) -> Scalar:
     return Scalar({e: 1})
 
 
-def q_power(e: int) -> Scalar:
-    """q^e = s^(2e)."""
-    return Scalar({2 * e: 1})
-
-
 @lru_cache(maxsize=None)
 def qint(n: int, d: int = 1) -> Scalar:
     """The quantum integer [n] in base q^d: (q^(dn) - q^(-dn)) / (q^d - q^(-d))."""
@@ -483,71 +479,9 @@ def qfactorial(n: int, d: int = 1) -> Scalar:
     return out
 
 
-def qbinom(r: int, s_idx: int, d: int = 1) -> Scalar:
-    """The bracket [r]! / ([s]! [r-s+1]!) in base q^d, exactly as printed.
-
-    Note the denominator uses [r-s+1]!, not the usual [r-s]!.
-    """
-    for a in (r, s_idx, r - s_idx + 1):
-        if a < 0:
-            raise UndefinedFactorial(f"factorial of negative argument {a}")
-    return qfactorial(r, d) / (qfactorial(s_idx, d) * qfactorial(r - s_idx + 1, d))
-
-
-def arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Field arithmetic dispatch: op is one of add|sub|mul|div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def specialize_q1(a: Scalar) -> Fraction:
     """Evaluate at s = 1 after cancellation; raises PoleAtOne on a true pole."""
     dv = sum(a._den.values(), Fraction(0))
     if dv == 0:
         raise PoleAtOne(f"denominator of {a} vanishes at q = 1")
     return sum(a._num.values(), Fraction(0)) / dv
-
-
-def _parse_term(tok):
-    sign = 1
-    if tok.startswith("-"):
-        sign = -1
-        tok = tok[1:]
-    if "*" in tok:
-        cs, ss = tok.split("*")
-    elif tok.startswith("s"):
-        cs, ss = "1", tok
-    else:
-        cs, ss = tok, None
-    c = Fraction(cs) * sign
-    if ss is None:
-        e = 0
-    elif ss == "s":
-        e = 1
-    else:
-        e = int(ss[2:])
-    return e, c
-
-
-def _parse_poly(text):
-    text = text.strip()
-    if text == "0":
-        return {}
-    out = {}
-    for tok in text.replace(" - ", " + -").split(" + "):
-        e, c = _parse_term(tok.strip())
-        out[e] = out.get(e, Fraction(0)) + c
-    return out
-
-
-def parse_scalar(text: str) -> Scalar:
-    """Inverse of str(): parses the canonical "num / den" rendering."""
-    numpart, denpart = text.rsplit(" / ", 1)
-    return Scalar(_parse_poly(numpart), _parse_poly(denpart))

@@ -11,11 +11,10 @@ of the reduction strategy.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Callable
 
-from .qscalar import ONE, Scalar, parse_scalar, s_power
+from .qscalar import ONE, Scalar
 
 FLAVOR_H = "h"     # loop generator, nonzero degree
 FLAVOR_HP = "h'"   # primed loop generator (change of variables on the negative side)
@@ -51,13 +50,6 @@ class GenId:
                 raise ValueError("node index must be >= 1")
         else:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-
-    @property
-    def grading_degree(self):
-        """Degree in the Z-grading: X lowers, D raises, the rest carry their own degree."""
-        if self.flavor == FLAVOR_X:
-            return -self.degree
-        return self.degree
 
     def render(self):
         if self.flavor == FLAVOR_A:
@@ -105,10 +97,6 @@ class RelationTable:
     central_commutator: Callable
 
 
-def total_degree(word):
-    return sum(g.grading_degree for g in word)
-
-
 class AlgebraElement:
     """A finite linear combination of (word, gamma-half-power) with Scalar coefficients."""
 
@@ -129,10 +117,6 @@ class AlgebraElement:
     @staticmethod
     def zero():
         return AlgebraElement()
-
-    @staticmethod
-    def one():
-        return AlgebraElement({((), 0): ONE})
 
     @staticmethod
     def from_scalar(c, gamma_half_exp=0):
@@ -171,14 +155,6 @@ class AlgebraElement:
         res._terms = {k: -c for k, c in self._terms.items()}
         return res
 
-    def scale(self, c):
-        c = Scalar._coerce(c)
-        if c.is_zero:
-            return AlgebraElement.zero()
-        res = AlgebraElement()
-        res._terms = {k: v * c for k, v in self._terms.items()}
-        return res
-
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
@@ -203,7 +179,7 @@ def _gamma_str(g):
 
 
 def render_element(x: AlgebraElement) -> str:
-    """Canonical plain-text rendering; parse_element inverts it."""
+    """Canonical plain-text rendering."""
     if x.is_zero:
         return "0"
     parts = []
@@ -215,77 +191,6 @@ def render_element(x: AlgebraElement) -> str:
             bits.append(" ".join(t.render() for t in word))
         parts.append(" * ".join(bits))
     return " + ".join(parts)
-
-
-_GEN_RE = re.compile(r"(h'|h|a|X|D)\[(-?\d+)(?:,(-?\d+))?\]")
-_GAMMA_RE = re.compile(r"gamma\^\{(-?\d+)(?:/2)?\}")
-
-
-def _split_top_level(text, sep=" + "):
-    parts = []
-    depth = 0
-    start = 0
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        elif depth == 0 and text.startswith(sep, i):
-            parts.append(text[start:i])
-            i += len(sep)
-            start = i
-            continue
-        i += 1
-    parts.append(text[start:])
-    return parts
-
-
-def parse_element(text: str) -> AlgebraElement:
-    """Inverse of render_element on canonical output."""
-    text = text.strip()
-    if text == "0":
-        return AlgebraElement.zero()
-    terms = {}
-    for part in _split_top_level(text):
-        part = part.strip()
-        if not part.startswith("("):
-            raise ValueError(f"malformed term {part!r}")
-        depth = 0
-        for i, c in enumerate(part):
-            if c == "(":
-                depth += 1
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-        coeff = parse_scalar(part[1:i])
-        rest = part[i + 1:]
-        if rest.startswith(" * "):
-            rest = rest[3:]
-        g = 0
-        word = []
-        for piece in rest.split(" * "):
-            piece = piece.strip()
-            if not piece:
-                continue
-            m = _GAMMA_RE.fullmatch(piece)
-            if m:
-                raw = int(m.group(1))
-                g = raw if piece.endswith("/2}") else 2 * raw
-                continue
-            for gm in piece.split():
-                m = _GEN_RE.fullmatch(gm)
-                if not m:
-                    raise ValueError(f"malformed generator token {gm!r}")
-                flavor, x1, x2 = m.group(1), int(m.group(2)), m.group(3)
-                if flavor == FLAVOR_A:
-                    word.append(a_gen(x1))
-                else:
-                    word.append(GenId(flavor, x1, int(x2)))
-        _bump(terms, (tuple(word), g), coeff)
-    return AlgebraElement(terms)
 
 
 def _find_descent(word, key, strategy):
@@ -354,13 +259,3 @@ def multiply(x: AlgebraElement, y: AlgebraElement, table: RelationTable,
 def commutator(x: AlgebraElement, y: AlgebraElement, table: RelationTable) -> AlgebraElement:
     """xy - yx in normal form."""
     return multiply(x, y, table) - multiply(y, x, table)
-
-
-def specialize_gamma(x: AlgebraElement, level: int) -> AlgebraElement:
-    """Substitute gamma = q^level, folding gamma powers into the coefficients."""
-    terms = {}
-    for (word, g), coeff in x.items():
-        _bump(terms, (word, 0), coeff * s_power(g * level))
-    res = AlgebraElement()
-    res._terms = terms
-    return res

@@ -1,14 +1,6 @@
 import pytest
 
-from qheis.cartan import (
-    FiniteRoot,
-    IndexOutOfRange,
-    InvalidType,
-    LatticePoint,
-    highest_root,
-    load_type,
-    positive_roots,
-)
+from qheis.cartan import IndexOutOfRange, InvalidType, load_type, positive_roots
 
 # Affine Cartan matrices from the standard tables, kept only as oracles.
 KNOWN_AFFINE = {
@@ -91,9 +83,9 @@ def test_closure_idempotent():
 def test_roots_sorted_by_height_then_lex():
     for key in KNOWN_ROOT_COUNTS:
         roots = positive_roots(load_type(*key))
-        keys = [(r.height, r.coeffs) for r in roots]
+        keys = [(sum(r.coeffs), r.coeffs) for r in roots]
         assert keys == sorted(keys)
-        assert all(r.height >= 1 for r in roots)
+        assert all(height >= 1 for height, _ in keys)
 
 
 def test_bilinear_examples():
@@ -138,8 +130,8 @@ def test_load_type_rejects_inconsistent_data(monkeypatch):
 def test_highest_root_is_long():
     for series, rank in [("B", 3), ("C", 2), ("G", 2), ("F", 4)]:
         cd = load_type(series, rank)
-        theta = highest_root(cd)
-        fd = cd.finite_d
+        theta = positive_roots(cd)[-1]  # the highest root
+        fd = cd.d[1:]
         fin = cd.finite_gcm
         norm = sum(theta.coeffs[i] * theta.coeffs[j] * fd[i] * fin[i][j]
                    for i in range(cd.rank) for j in range(cd.rank))
@@ -150,18 +142,3 @@ def test_to_json_shape():
     obj = load_type("C", 2).to_json()
     assert obj == {"series": "C", "rank": 2,
                    "gcm": KNOWN_AFFINE[("C", 2)], "d": [2, 1, 2]}
-
-
-def test_lattice_point_arithmetic():
-    p = LatticePoint((1, 0), 2)
-    q = LatticePoint((0, 1), -1)
-    assert p + q == LatticePoint((1, 1), 1)
-    assert p - p == LatticePoint((0, 0), 0)
-    assert -q == LatticePoint((0, -1), 1)
-
-
-def test_finite_root_helpers():
-    r = FiniteRoot((1, 2))
-    assert r.height == 3
-    assert (r + FiniteRoot((0, 1))).coeffs == (1, 3)
-    assert (-r).coeffs == (-1, -2)

@@ -233,8 +233,8 @@ def test_verification_failure_exits_one(capsys, monkeypatch):
     from qheis.heisenberg import RelationCheck
     from qheis.termalg import AlgebraElement
 
-    bad = RelationCheck("pairing[i=1,j=1,k=1,l=1]", AlgebraElement.one(),
-                        AlgebraElement.zero(), AlgebraElement.one())
+    one = AlgebraElement.from_scalar(ONE)
+    bad = RelationCheck("pairing[i=1,j=1,k=1,l=1]", one, AlgebraElement.zero(), one)
     monkeypatch.setattr(cli, "verify_canonical_relations", lambda alg, mk: [bad])
     assert run(["heis-verify", "--type", "A", "--rank", "1", "--max-k", "1"]) == 1
     out = capsys.readouterr().out
@@ -257,6 +257,8 @@ def test_beta_length_validated(capsys):
     ('{"x": 1}', "not an integer"),
     ("{", "Expecting"),
     ("[" * 100_000, "nested too deeply"),
+    ('{"1": 1, "01": 5}', "degree 1 is given twice"),
+    ('{"0": 1, "0": 7}', "'0' is given twice"),
 ])
 def test_invalid_vdims_is_a_usage_error(vdims, needle, capsys):
     assert run(["loop-mult", "--type", "A", "--rank", "1", "--beta", "1",

@@ -2,11 +2,10 @@ import itertools
 
 import pytest
 
-from qheis.cartan import LatticePoint, load_type, positive_roots
+from qheis.cartan import load_type, positive_roots
 from qheis.loopweights import (
     GradedDims,
     NotInSupport,
-    RootSetS,
     phi_verma_graded_dims,
     phi_verma_weight_dim,
     support_contains,
@@ -181,26 +180,3 @@ def test_report_json_shape():
     assert obj["mu"] == {"beta": [1], "k": 0}
     assert obj["bounds"] == {"max_abs_k": 2}
     assert set(obj) == {"mu", "truncated_count", "verdict", "bounds"}
-
-
-def test_root_set_partition_on_window():
-    for series, rank in [("A", 1), ("A", 2), ("C", 2), ("G", 2)]:
-        cd = load_type(series, rank)
-        S = RootSetS(cd)
-        for p in S.real_window(3):
-            assert S.contains(p) != S.contains(-p)
-        for p in S.imaginary_window(3):
-            assert S.contains(p) == (p.delta > 0)
-
-
-def test_ordering_three_blocks():
-    cd = load_type("A", 2)
-    S = RootSetS(cd)
-    assert S.ordering_block(LatticePoint((1, 0), 0)) == 1
-    assert S.ordering_block(LatticePoint((1, 1), 4)) == 1
-    assert S.ordering_block(LatticePoint((0, 0), 2)) == 2
-    assert S.ordering_block(LatticePoint((-1, 0), 1)) == 3
-    with pytest.raises(ValueError):
-        S.ordering_block(LatticePoint((1, 0), -1))  # negative affine root
-    with pytest.raises(ValueError):
-        S.ordering_block(LatticePoint((1, 2), 0))  # not a root
