@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .cartan import InvalidType, load_type, positive_roots
@@ -27,6 +28,16 @@ from .loopweights import GradedDims, phi_verma_weight_dim, weight_multiplicity
 from .qscalar import qint, specialize_q1
 from .verma import PhiSignature, Truncation, VermaModule
 from .weyliso import verify_weyl_iso
+
+
+def integer(text):
+    """An integer written in plain ASCII decimal: an optional '-', then the
+    digits 0-9.  int() alone would also take '_', spaces, '+' and non-ASCII
+    digits.  As an argparse type, its name makes the "invalid integer value"
+    message."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(f"{text!r} is not a plain decimal integer")
+    return int(text)
 
 
 def _emit(obj, fmt, table_renderer):
@@ -155,7 +166,7 @@ def _parse_vdims(text):
     infinite = set()
     for key, val in raw.items():
         try:
-            m = int(key)
+            m = integer(key)
         except ValueError:
             raise ValueError(f"--vdims: degree {key!r} is not an integer") from None
         if m in counts:
@@ -173,11 +184,11 @@ def _parse_vdims(text):
 
 def _cmd_loop_mult(args):
     cd = load_type(args.type, args.rank)
-    beta = tuple(int(x) for x in args.beta.split(","))
+    beta = tuple(integer(x) for x in args.beta.split(","))
     if len(beta) != cd.rank:
         raise ValueError(f"--beta needs {cd.rank} comma-separated coefficients")
     if args.k_sweep:
-        lo, hi = (int(x) for x in args.k_sweep.split(":"))
+        lo, hi = (integer(x) for x in args.k_sweep.split(":"))
         if lo > hi:
             raise ValueError(f"--k-sweep {lo}:{hi} is reversed")
         ks = range(lo, hi + 1)
@@ -218,7 +229,7 @@ def build_parser():
 
     def add_type_rank(p):
         p.add_argument("--type", required=True, choices=list("ABCDEFG"))
-        p.add_argument("--rank", required=True, type=int)
+        p.add_argument("--rank", required=True, type=integer)
 
     def add_convention(p):
         p.add_argument("--convention", choices=["paper", "drinfeld"], default="paper",
@@ -231,8 +242,8 @@ def build_parser():
     p.set_defaults(func=_cmd_cartan)
 
     p = sub.add_parser("qnum", help="quantum integer [n] in base q^d")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--n", required=True, type=integer)
+    p.add_argument("--d", type=integer, default=1)
     p.add_argument("--at-q1", action="store_true", help="specialize q to 1")
     add_format(p)
     p.set_defaults(func=_cmd_qnum)
@@ -240,8 +251,8 @@ def build_parser():
     p = sub.add_parser("heis-verify",
                        help="verify the decoupled relations through the defining ones")
     add_type_rank(p)
-    p.add_argument("--max-k", type=int, default=6)
-    p.add_argument("--level", type=int, default=None,
+    p.add_argument("--max-k", type=integer, default=6)
+    p.add_argument("--level", type=integer, default=None,
                    help="specialize gamma = q^level (default: formal gamma)")
     add_convention(p)
     add_format(p)
@@ -250,43 +261,43 @@ def build_parser():
     p = sub.add_parser("weyl-verify",
                        help="verify the level-specialized Weyl realization")
     add_type_rank(p)
-    p.add_argument("--level", required=True, type=int)
-    p.add_argument("--max-k", type=int, default=6)
+    p.add_argument("--level", required=True, type=integer)
+    p.add_argument("--max-k", type=integer, default=6)
     add_convention(p)
     add_format(p)
     p.set_defaults(func=_cmd_weyl_verify)
 
     p = sub.add_parser("verma-dims", help="truncated graded dimensions")
     p.add_argument("--phi", required=True, help="sign signature, e.g. '+' or '+-:+'")
-    p.add_argument("--level", required=True, type=int)
-    p.add_argument("--max-index", type=int, default=6)
-    p.add_argument("--max-exp", type=int, default=6)
-    p.add_argument("--from-degree", type=int, default=None)
-    p.add_argument("--to-degree", type=int, default=None)
+    p.add_argument("--level", required=True, type=integer)
+    p.add_argument("--max-index", type=integer, default=6)
+    p.add_argument("--max-exp", type=integer, default=6)
+    p.add_argument("--from-degree", type=integer, default=None)
+    p.add_argument("--to-degree", type=integer, default=None)
     add_format(p)
     p.set_defaults(func=_cmd_verma_dims)
 
     p = sub.add_parser("verma-irred", help="truncation-scale irreducibility verdict")
     p.add_argument("--phi", required=True)
-    p.add_argument("--level", required=True, type=int)
-    p.add_argument("--max-index", type=int, default=6)
-    p.add_argument("--max-exp", type=int, default=6)
+    p.add_argument("--level", required=True, type=integer)
+    p.add_argument("--max-index", type=integer, default=6)
+    p.add_argument("--max-exp", type=integer, default=6)
     add_format(p)
     p.set_defaults(func=_cmd_verma_irred)
 
     p = sub.add_parser("loop-mult", help="truncated loop-module weight multiplicities")
     add_type_rank(p)
     p.add_argument("--beta", required=True, help="comma-separated simple-root coefficients")
-    p.add_argument("--k", type=int, default=0, help="delta shift of the target weight")
+    p.add_argument("--k", type=integer, default=0, help="delta shift of the target weight")
     p.add_argument("--k-sweep", default=None, help="LO:HI sweep over the delta shift (CSV in table mode)")
-    p.add_argument("--window", type=int, default=3, help="bound on each monomial shift")
+    p.add_argument("--window", type=integer, default=3, help="bound on each monomial shift")
     p.add_argument("--phi", default="+", help="sign signature for the inducing module")
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=integer, default=1)
     p.add_argument("--vdims", default=None,
                    help='JSON {"degree": dim} for a user-supplied inducing module '
                         '("inf" marks a degree as infinite-dimensional)')
-    p.add_argument("--max-index", type=int, default=6)
-    p.add_argument("--max-exp", type=int, default=6)
+    p.add_argument("--max-index", type=integer, default=6)
+    p.add_argument("--max-exp", type=integer, default=6)
     add_format(p)
     p.set_defaults(func=_cmd_loop_mult)
 

@@ -82,7 +82,6 @@ def _monomial_counts(cartan: CartanData, beta, max_abs_k: int):
     ht_beta = sum(beta)
     if ht_beta == 0:
         return dp
-    dmax = max_abs_k * ht_beta
     roots = [r.coeffs for r in positive_roots(cartan)
              if all(rc <= bc for rc, bc in zip(r.coeffs, beta))]
     for alpha in roots:
@@ -97,10 +96,7 @@ def _monomial_counts(cartan: CartanData, beta, max_abs_k: int):
                     new = tuple(p + a for p, a in zip(part, alpha))
                     if any(x > b for x, b in zip(new, beta)):
                         continue
-                    nd = d + m
-                    if abs(nd) > dmax:
-                        continue
-                    key = (new, nd)
+                    key = (new, d + m)
                     dp[key] = dp.get(key, 0) + cnt
     return dp
 

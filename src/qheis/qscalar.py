@@ -134,26 +134,6 @@ def _pshift(p, k):
     return {e + k: c for e, c in p.items()}
 
 
-def _pdivmod(num, den):
-    # ordinary polynomials (min exponent >= 0), den nonzero
-    num = dict(num)
-    quo = {}
-    dtop = max(den)
-    lead = den[dtop]
-    while num and max(num) >= dtop:
-        e = max(num)
-        c = num[e] / lead
-        quo[e - dtop] = quo.get(e - dtop, Fraction(0)) + c
-        for de, dc in den.items():
-            ne = e - dtop + de
-            v = num.get(ne, Fraction(0)) - c * dc
-            if v:
-                num[ne] = v
-            else:
-                num.pop(ne, None)
-    return _trim(quo), _trim(num)
-
-
 def _int_primitive(p):
     # integer multiple of p with coprime coefficients (content stripped)
     ints = _integer_coefficients(p)[1]
@@ -177,22 +157,13 @@ def _int_pseudo_rem(a, b):
                 new[ne] = v
             else:
                 new.pop(ne, None)
-        content = 0
-        for cc in new.values():
-            content = gcd(content, cc)
+        content = gcd(*new.values())
         r = {ee: cc // content for ee, cc in new.items()} if content else {}
     return r
 
 
 def _pgcd(a, b):
-    # monic gcd of ordinary polynomials; {} only if both are zero
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        p = a or b
-        if not p:
-            return {}
-        lead = p[max(p)]
-        return {e: c / lead for e, c in p.items()}
+    # monic gcd of two nonzero ordinary polynomials
     A = _int_primitive(a)
     B = _int_primitive(b)
     if max(A) < max(B):
@@ -203,34 +174,43 @@ def _pgcd(a, b):
     return {e: Fraction(c) / lead for e, c in A.items()}
 
 
-def _pdiv_exact(a, b):
-    q, r = _pdivmod(a, b)
-    if r:
+def _pdiv_exact(num, den):
+    # the quotient of ordinary polynomials (min exponent >= 0), den nonzero;
+    # a nonzero remainder is an error
+    num = dict(num)
+    quo = {}
+    dtop = max(den)
+    lead = den[dtop]
+    while num and max(num) >= dtop:
+        e = max(num)
+        c = num[e] / lead
+        quo[e - dtop] = c
+        for de, dc in den.items():
+            ne = e - dtop + de
+            v = num.get(ne, Fraction(0)) - c * dc
+            if v:
+                num[ne] = v
+            else:
+                num.pop(ne, None)
+    if num:
         raise ArithmeticError("inexact polynomial division")
-    return q
+    return quo
 
 
-def _canonical(num, den, reduced=False):
-    if not den:
-        raise DivisionByZero("zero denominator")
+def _canonical(num, den):
+    # num / den with no common factor but powers of s: shift the denominator
+    # to an ordinary polynomial with nonzero constant term and make it monic
     if not num:
         return {}, {0: Fraction(1)}
     dmin = min(den)
     if dmin:
         num = _pshift(num, -dmin)
         den = _pshift(den, -dmin)
-    val = min(num)
-    flat = _pshift(num, -val) if val else dict(num)
-    if not reduced:
-        g = _pgcd(flat, den)
-        if max(g) > 0:
-            flat = _pdiv_exact(flat, g)
-            den = _pdiv_exact(den, g)
     lead = den[max(den)]
     if lead != 1:
-        flat = {e: c / lead for e, c in flat.items()}
+        num = {e: c / lead for e, c in num.items()}
         den = {e: c / lead for e, c in den.items()}
-    return (_pshift(flat, val) if val else flat), den
+    return num, den
 
 
 def _poly_str(p):
@@ -266,28 +246,30 @@ def _exponent(e):
 class Scalar:
     """An exact rational function of s = q^(1/2), always canonical."""
 
-    __slots__ = ("_num", "_den", "_key")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=None):
         if den is None:
             den = {0: Fraction(1)}
         num = _trim({_exponent(e): _exact(c) for e, c in num.items()})
         den = _trim({_exponent(e): _exact(c) for e, c in den.items()})
+        if not den:
+            raise DivisionByZero("zero denominator")
+        if num:
+            # cancel the common factor of the parts cleared of powers of s
+            v, w = min(num), min(den)
+            flat, den = _pshift(num, -v), _pshift(den, -w)
+            g = _pgcd(flat, den)
+            if max(g) > 0:
+                flat, den = _pdiv_exact(flat, g), _pdiv_exact(den, g)
+            num = _pshift(flat, v - w)
         self._num, self._den = _canonical(num, den)
-        self._key = (
-            tuple(sorted(self._num.items())),
-            tuple(sorted(self._den.items())),
-        )
 
     @classmethod
     def _reduced(cls, num, den):
-        # fast path for numerator/denominator pairs already known coprime
+        # for numerator/denominator pairs already known coprime
         out = cls.__new__(cls)
-        out._num, out._den = _canonical(num, den, reduced=True)
-        out._key = (
-            tuple(sorted(out._num.items())),
-            tuple(sorted(out._den.items())),
-        )
+        out._num, out._den = _canonical(num, den)
         return out
 
     @property
@@ -384,23 +366,8 @@ class Scalar:
             return NotImplemented
         if other.is_zero:
             raise DivisionByZero("division by zero scalar")
-        if self.is_zero:
-            return ZERO
-        v1 = min(self._num)
-        f1 = _pshift(self._num, -v1) if v1 else dict(self._num)
-        v2 = min(other._num)
-        f2 = _pshift(other._num, -v2) if v2 else dict(other._num)
-        d1, d2 = self._den, other._den
-        g = _pgcd(f1, f2)
-        if max(g) > 0:
-            f1 = _pdiv_exact(f1, g)
-            f2 = _pdiv_exact(f2, g)
-        if max(d1) > 0 and max(d2) > 0:
-            g = _pgcd(d1, d2)
-            if max(g) > 0:
-                d1 = _pdiv_exact(d1, g)
-                d2 = _pdiv_exact(d2, g)
-        return Scalar._reduced(_pshift(_pmul(f1, d2), v1 - v2), _pmul(d1, f2))
+        # the reciprocal of a canonical pair is coprime as it stands
+        return self * Scalar._reduced(other._den, other._num)
 
     def __rtruediv__(self, other):
         other = Scalar._coerce(other)
@@ -412,7 +379,6 @@ class Scalar:
         out = Scalar.__new__(Scalar)
         out._num = _pneg(self._num)
         out._den = self._den
-        out._key = (tuple(sorted(out._num.items())), self._key[1])
         return out
 
     def __pow__(self, k):
@@ -433,13 +399,13 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        return self._key == other._key
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
         # a constant hashes like the equal int or Fraction, as == promises
         if self.is_laurent and self._num.keys() <= {0}:
             return hash(self._num.get(0, 0))
-        return hash(self._key)
+        return hash((frozenset(self._num.items()), frozenset(self._den.items())))
 
     def __bool__(self):
         return not self.is_zero

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -229,6 +230,29 @@ def test_closed_stdout_exits_quietly(unbuffered):
     assert err == b""
 
 
+def test_package_has_no_assert_statement():
+    # python -O strips assert, so no validation may rest on one
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} asserts on lines {lines}"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--vdims", "{}"], 2),
+    (["heis-verify", "--type", "A", "--rank", "1", "--max-k", "2"], 0),
+], ids=["usage-error", "heis-verify"])
+def test_python_O_gives_the_same_exit_code_and_stdout(argv, code):
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "qheis.cli", *argv],
+                       capture_output=True, env=env, timeout=120)
+        for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode == code
+    assert plain.stdout == optimized.stdout
+
+
 def test_verification_failure_exits_one(capsys, monkeypatch):
     from qheis.heisenberg import RelationCheck
     from qheis.termalg import AlgebraElement
@@ -259,6 +283,10 @@ def test_beta_length_validated(capsys):
     ("[" * 100_000, "nested too deeply"),
     ('{"1": 1, "01": 5}', "degree 1 is given twice"),
     ('{"0": 1, "0": 7}', "'0' is given twice"),
+    # int() takes all three; a degree is plain ASCII decimal
+    ('{"1_0": 4}', "degree '1_0' is not an integer"),
+    ('{" +10 ": 4}', "degree ' +10 ' is not an integer"),
+    ('{"\u0661\u0660": 4}', "is not an integer"),
 ])
 def test_invalid_vdims_is_a_usage_error(vdims, needle, capsys):
     assert run(["loop-mult", "--type", "A", "--rank", "1", "--beta", "1",
@@ -266,6 +294,32 @@ def test_invalid_vdims_is_a_usage_error(vdims, needle, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and needle in captured.err
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1_0"], "'1_0'"),
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep=1_0:11"], "'1_0'"),
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1,+1"], "'+1'"),
+    (["verma-dims", "--phi", "+", "--level", "1_0"], "argument --level"),
+    (["qnum", "--n", " 3"], "argument --n"),
+    (["cartan", "--type", "A", "--rank", "\u0662"], "argument --rank"),
+], ids=["beta", "k-sweep", "beta-plus", "level", "space", "non-ascii"])
+def test_integer_that_is_not_plain_decimal_is_a_usage_error(argv, needle, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and needle in captured.err
+
+
+def test_negative_and_zero_padded_integers_are_accepted(capsys):
+    assert run(["verma-dims", "--phi", "+", "--level", "-1", "--max-index", "2",
+                "--max-exp", "2", "--format", "table"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "-2,2,FINITE(2)"
+    assert run(["loop-mult", "--type", "A", "--rank", "1", "--beta", "1",
+                "--k-sweep", "-3:3", "--format", "table"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1] == "-3,30,INFINITE" and rows[-1] == "3,1,INFINITE"
+    assert run(["qnum", "--n", "003", "--d", "02"]) == 0
+    assert capsys.readouterr().out == '"s^8 + 1 + s^-8 / 1"\n'
 
 
 def test_vdims_accepts_inf_and_zero(capsys):

@@ -56,6 +56,29 @@ def poly_div_exact(num, den):
     return {e + off: c for e, c in quo.items()}
 
 
+def poly_rem(num, den):
+    # remainder of long division of ordinary polynomials
+    num = dict(num)
+    dtop = max(den)
+    while num and max(num) >= dtop:
+        e = max(num)
+        c = num[e] / den[dtop]
+        for de, dc in den.items():
+            v = num.get(e - dtop + de, Fraction(0)) - c * dc
+            if v:
+                num[e - dtop + de] = v
+            else:
+                num.pop(e - dtop + de, None)
+    return num
+
+
+def poly_gcd_degree(a, b):
+    # Euclid over Fraction coefficients on ordinary polynomials
+    while b:
+        a, b = b, poly_rem(a, b)
+    return max(a)
+
+
 def laurent(scalar):
     assert scalar.is_laurent
     return scalar.num_terms
@@ -164,12 +187,20 @@ def scalars(draw):
     return Scalar(num, den)
 
 
+def same(x, y):
+    return x == y and hash(x) == hash(y)
+
+
 @settings(max_examples=150, deadline=None)
 @given(scalars(), scalars())
 def test_subtraction_and_division_invert(a, b):
     assert (a + b) - b == a
+    # built by different routes, equal values hash alike
+    assert same(a / ONE, a) and same(-(-a), a)
     if not b.is_zero:
-        assert (a * b) / b == a
+        assert same((a * b) / b, a)
+    if not a.is_zero:
+        assert same(a ** 2 / a, a)
 
 
 def test_canonical_string_example():
@@ -177,18 +208,31 @@ def test_canonical_string_example():
     assert str(ZERO) == "0 / 1"
 
 
+def _results(a, b):
+    yield a + b
+    yield a - b
+    yield a * b
+    if not b.is_zero:
+        yield a / b
+        yield b ** -2
+        yield ONE / b
+
+
 def test_canonical_form_invariants():
     rng = random.Random(5)
     for _ in range(300):
-        a = _random_scalar(rng)
-        den = a.den_terms
-        assert min(den) == 0
-        assert den[max(den)] == 1
-        # no common root at 1 unless the denominator genuinely has none
-        if not a.is_zero:
-            num, dnm = a.num_terms, a.den_terms
-            g = poly_div_exact  # just exercising the accessor shapes
-            assert all(isinstance(c, Fraction) for c in num.values())
+        a, b = _random_scalar(rng), _random_scalar(rng)
+        for x in _results(a, b):
+            num, den = x.num_terms, x.den_terms
+            # an ordinary polynomial with nonzero constant term, monic
+            assert min(den) == 0 and den[0] != 0 and den[max(den)] == 1
+            assert all(isinstance(c, Fraction) and c for c in (*num.values(), *den.values()))
+            if x.is_zero:
+                assert str(x) == "0 / 1"
+            else:
+                flat = {e - min(num): c for e, c in num.items()}
+                assert poly_gcd_degree(flat, den) == 0
+    assert str(qint(2) - qint(2)) == str(ZERO) == "0 / 1"
 
 
 def test_power_and_coercion():
@@ -210,6 +254,9 @@ def test_hash_agrees_with_equality_on_constants():
     assert len({ZERO, 0, Fraction(0)}) == 1
     assert {qint(1): "x"}[1] == "x"  # [1]_q is the constant 1
     assert len({qint(2), qint(2) + 0, s_power(1)}) == 2
+    # non-constant values reached by different routes
+    x = qint(3) / qint(2)
+    assert len({x, (x * qint(5)) / qint(5), x / ONE, -(-x), x ** 2 / x}) == 1
 
 
 def test_float_coefficients_rejected():
