@@ -187,23 +187,28 @@ def _cmd_loop_mult(args):
     beta = tuple(integer(x) for x in args.beta.split(","))
     if len(beta) != cd.rank:
         raise ValueError(f"--beta needs {cd.rank} comma-separated coefficients")
-    if args.k_sweep:
-        lo, hi = (integer(x) for x in args.k_sweep.split(":"))
+    if args.k_sweep is not None:
+        if args.k is not None:
+            raise ValueError("--k and --k-sweep cannot be given together")
+        bounds = args.k_sweep.split(":")
+        if len(bounds) != 2:
+            raise ValueError(f"--k-sweep must be LO:HI, got {args.k_sweep!r}")
+        lo, hi = (integer(x) for x in bounds)
         if lo > hi:
             raise ValueError(f"--k-sweep {lo}:{hi} is reversed")
         ks = range(lo, hi + 1)
     else:
-        ks = [args.k]
+        ks = [0 if args.k is None else args.k]
     trunc = Truncation(args.max_index, args.max_exp)
-    reports = []
-    for k in ks:
-        if args.vdims:
-            rep = weight_multiplicity(cd, beta, k, _parse_vdims(args.vdims), args.window)
-        else:
-            phi = PhiSignature.parse(args.phi)
-            rep = phi_verma_weight_dim(cd, phi, args.level, beta, k, args.window, trunc)
-        reports.append(rep.to_json())
-    obj = reports if args.k_sweep else reports[0]
+    if args.vdims:
+        vdims = _parse_vdims(args.vdims)
+        reports = [weight_multiplicity(cd, beta, k, vdims, args.window).to_json()
+                   for k in ks]
+    else:
+        phi = PhiSignature.parse(args.phi)
+        reports = [phi_verma_weight_dim(cd, phi, args.level, beta, k, args.window,
+                                        trunc).to_json() for k in ks]
+    obj = reports if args.k_sweep is not None else reports[0]
 
     def table(o):
         rows = o if isinstance(o, list) else [o]
@@ -288,7 +293,8 @@ def build_parser():
     p = sub.add_parser("loop-mult", help="truncated loop-module weight multiplicities")
     add_type_rank(p)
     p.add_argument("--beta", required=True, help="comma-separated simple-root coefficients")
-    p.add_argument("--k", type=integer, default=0, help="delta shift of the target weight")
+    p.add_argument("--k", type=integer, default=None,
+                   help="delta shift of the target weight (default 0)")
     p.add_argument("--k-sweep", default=None, help="LO:HI sweep over the delta shift (CSV in table mode)")
     p.add_argument("--window", type=integer, default=3, help="bound on each monomial shift")
     p.add_argument("--phi", default="+", help="sign signature for the inducing module")

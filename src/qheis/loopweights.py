@@ -10,9 +10,11 @@ selected verdicts cite the analytic statements, not extrapolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 from .cartan import CartanData, positive_roots
-from .verma import PhiSignature, Truncation, Verdict, VermaModule, partition_count
+from .verma import (PhiSignature, Truncation, Verdict, VermaModule, _convolve,
+                    partition_count)
 
 __all__ = [
     "NotInSupport", "GradedDims", "MultiplicityReport", "support_contains",
@@ -73,15 +75,15 @@ def support_contains(beta) -> bool:
     return all(c >= 0 for c in beta)
 
 
-def _monomial_counts(cartan: CartanData, beta, max_abs_k: int):
-    """dp[(partial, d)] = number of multisets of (positive root, shift) pairs,
-    |shift| <= max_abs_k, whose roots sum to `partial` with total shift d."""
-    n = len(beta)
-    zero = tuple([0] * n)
-    dp = {(zero, 0): 1}
+@lru_cache(maxsize=None)
+def _shift_series(cartan: CartanData, beta, max_abs_k: int):
+    """{d: number of multisets of (positive root, shift) pairs, |shift| <=
+    max_abs_k, whose roots sum to beta with total shift d}.  Cached, so callers
+    only read it."""
     ht_beta = sum(beta)
     if ht_beta == 0:
-        return dp
+        return {0: 1}
+    dp = {(tuple([0] * len(beta)), 0): 1}
     roots = [r.coeffs for r in positive_roots(cartan)
              if all(rc <= bc for rc, bc in zip(r.coeffs, beta))]
     for alpha in roots:
@@ -98,7 +100,7 @@ def _monomial_counts(cartan: CartanData, beta, max_abs_k: int):
                         continue
                     key = (new, d + m)
                     dp[key] = dp.get(key, 0) + cnt
-    return dp
+    return {d: cnt for (part, d), cnt in dp.items() if part == beta}
 
 
 def weight_multiplicity(cartan: CartanData, beta, k: int, vdims: GradedDims,
@@ -114,12 +116,9 @@ def weight_multiplicity(cartan: CartanData, beta, k: int, vdims: GradedDims,
         raise NotInSupport(f"finite part {beta} is not a nonnegative root combination")
     if max_abs_k < 0:
         raise ValueError(f"shift window must be >= 0, got {max_abs_k}")
-    dp = _monomial_counts(cartan, beta, max_abs_k)
     total = 0
     witnessed = False
-    for (part, d), cnt in dp.items():
-        if part != beta:
-            continue
+    for d, cnt in _shift_series(cartan, beta, max_abs_k).items():
         count, infinite = vdims.dim(k - d)
         total += cnt * count
         if count > 0 or infinite:
@@ -149,46 +148,29 @@ def _mixed(phis) -> bool:
                 and len({phi.constant_sign() for phi in phis}) == 1)
 
 
-def _exact_constant_dims(sign, nodes: int, lo: int, hi: int) -> GradedDims:
-    # every node constant with the same sign: all supports on one side, so the
-    # node-by-node convolution of partition counts is finite and exact
-    side = -sign
-    conv = {0: 1}
-    for _ in range(nodes):
-        new = {}
-        for p, c in conv.items():
-            t = 0
-            while True:
-                m = p + t * side
-                if (side < 0 and m < lo) or (side > 0 and m > hi):
-                    break
-                new[m] = new.get(m, 0) + c * partition_count(abs(t))
-                t += 1
-        conv = new
-    counts = {m: c for m, c in conv.items() if lo <= m <= hi}
-    return GradedDims(counts, frozenset(), (lo, hi))
-
-
-def _truncated_mixed_dims(phis, level, lo: int, hi: int, trunc: Truncation) -> GradedDims:
-    conv = {0: 1}
-    for phi in phis:
-        node_counts = VermaModule(phi, level, trunc)._degree_counts()
-        new = {}
-        for p, c in conv.items():
-            for m, cnt in node_counts.items():
-                new[p + m] = new.get(p + m, 0) + c * cnt
-        conv = new
-    counts = {m: c for m, c in conv.items() if lo <= m <= hi}
-    return GradedDims(counts, frozenset(range(lo, hi + 1)), (lo, hi))
+@lru_cache(maxsize=None)
+def _mixed_series(phis: tuple, level: int, trunc: Truncation):
+    """The unwindowed product of the nodes' truncated degree counts.  Cached,
+    so callers only read it."""
+    return reduce(_convolve, (VermaModule(phi, level, trunc)._degree_counts() for phi in phis))
 
 
 def phi_verma_graded_dims(phis, level: int, lo: int, hi: int,
                           trunc: Truncation) -> GradedDims:
     """Graded dimensions of the rank-many tensor factors picked out by the
     signatures, on the window [lo, hi]."""
-    if not _mixed(phis):
-        return _exact_constant_dims(phis[0].constant_sign(), len(phis), lo, hi)
-    return _truncated_mixed_dims(phis, level, lo, hi, trunc)
+    phis = tuple(phis)
+    if _mixed(phis):
+        series, infinite = _mixed_series(phis, level, trunc), frozenset(range(lo, hi + 1))
+    else:
+        # every node constant with the same sign: all supports lie on one side,
+        # so partition series cut at the window's far end give it exactly
+        side = -phis[0].constant_sign()
+        far = hi if side > 0 else -lo
+        node = {side * t: partition_count(t) for t in range(far + 1)}
+        series, infinite = reduce(_convolve, [node] * len(phis)), frozenset()
+    counts = {m: c for m, c in series.items() if lo <= m <= hi}
+    return GradedDims(counts, infinite, (lo, hi))
 
 
 def phi_verma_weight_dim(cartan: CartanData, phis, level: int, beta, k: int,

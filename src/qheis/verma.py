@@ -116,8 +116,6 @@ class GradedDimReport:
     degree: int
     truncated_dim: int
     verdict: Verdict
-    max_index: int
-    max_exponent: int
 
     def to_json(self):
         return {"n": self.degree, "dim": self.truncated_dim,
@@ -142,6 +140,15 @@ def partition_count(n: int) -> int:
         for m in range(part, n + 1):
             table[m] += table[m - part]
     return table[n]
+
+
+def _convolve(a, b):
+    """The product of two {degree: count} series."""
+    out = {}
+    for m, c in a.items():
+        for n, d in b.items():
+            out[m + n] = out.get(m + n, 0) + c * d
+    return out
 
 
 class VermaModule:
@@ -225,17 +232,13 @@ class VermaModule:
     # -- graded dimensions ---------------------------------------------
 
     def _degree_counts(self):
+        """{degree: basis monomials}: the product over i of {e * deg_i: 1}, e <= E."""
         if self._counts is None:
             N, E = self.truncation.max_index, self.truncation.max_exponent
             counts = {0: 1}
             for i in range(1, N + 1):
                 deg = self.lowering_degree(i)
-                new = {}
-                for m, c in counts.items():
-                    for e in range(E + 1):
-                        key = m + e * deg
-                        new[key] = new.get(key, 0) + c
-                counts = new
+                counts = _convolve(counts, {e * deg: 1 for e in range(E + 1)})
             self._counts = counts
         return self._counts
 
@@ -257,8 +260,7 @@ class VermaModule:
                 verdict = Verdict("FINITE", partition_count(abs(n)))
         else:
             verdict = Verdict("UNKNOWN_AT_TRUNCATION")
-        return GradedDimReport(n, count, verdict,
-                               self.truncation.max_index, self.truncation.max_exponent)
+        return GradedDimReport(n, count, verdict)
 
     # -- contravariant pairing ------------------------------------------
 

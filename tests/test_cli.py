@@ -303,11 +303,45 @@ def test_invalid_vdims_is_a_usage_error(vdims, needle, capsys):
     (["verma-dims", "--phi", "+", "--level", "1_0"], "argument --level"),
     (["qnum", "--n", " 3"], "argument --n"),
     (["cartan", "--type", "A", "--rank", "\u0662"], "argument --rank"),
-], ids=["beta", "k-sweep", "beta-plus", "level", "space", "non-ascii"])
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep=1"],
+     "--k-sweep must be LO:HI, got '1'"),
+    (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep=1:2:3"],
+     "--k-sweep must be LO:HI, got '1:2:3'"),
+], ids=["beta", "k-sweep", "beta-plus", "level", "space", "non-ascii", "k-sweep-one-bound",
+        "k-sweep-three-bounds"])
 def test_integer_that_is_not_plain_decimal_is_a_usage_error(argv, needle, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and needle in captured.err
+
+
+@pytest.mark.parametrize("k", ["5", "0"])
+def test_k_with_k_sweep_is_a_usage_error(k, capsys):
+    # "--k 0" equals the default of --k, and is refused all the same
+    assert run(["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k", k,
+                "--k-sweep=0:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k " in captured.err and "--k-sweep" in captured.err
+
+
+@pytest.mark.parametrize("inducing", [
+    ["--phi", "+"],
+    ["--phi=+-:+", "--max-index", "3", "--max-exp", "3"],
+    ["--vdims", '{"-2": 1, "0": 2, "1": "inf"}'],
+], ids=["constant", "mixed", "vdims"])
+def test_k_sweep_entries_equal_single_k_runs(inducing, capsys):
+    # a sweep shares its k-independent tables between k, and single runs
+    # after it read the same cached tables: neither may change them
+    base = ["loop-mult", "--type", "A", "--rank", "2", "--beta", "1,1", "--window", "2",
+            *inducing]
+    assert run(base + ["--k-sweep=-3:3"]) == 0
+    sweep = json.loads(capsys.readouterr().out)
+    singles = []
+    for k in range(-3, 4):
+        assert run(base + [f"--k={k}"]) == 0
+        singles.append(json.loads(capsys.readouterr().out))
+    assert sweep == singles
 
 
 def test_negative_and_zero_padded_integers_are_accepted(capsys):

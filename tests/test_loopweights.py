@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from qheis.cartan import load_type, positive_roots
 from qheis.loopweights import (
     GradedDims,
     NotInSupport,
+    _shift_series,
     phi_verma_graded_dims,
     phi_verma_weight_dim,
     support_contains,
@@ -42,6 +44,33 @@ def brute_force_count(cartan, beta, k, vdims, window):
 
     rec(0, tuple(beta), 0)
     return total
+
+
+def _one_sign(phis):
+    # every signature used here has settled by index 8
+    return len({phi(i) for phi in phis for i in range(1, 9)}) == 1
+
+
+def brute_force_dims(phis, lo, hi, trunc):
+    """Monomials in the lowering generators of every node, counted by degree on
+    [lo, hi] by enumerating exponent vectors.  Nodes that are all constant
+    with one sign form the untruncated module, so their generators run up to
+    the window's reach; otherwise the truncation bounds index and exponent."""
+    reach = max(abs(lo), abs(hi))
+    untruncated = _one_sign(phis)
+    gens = []  # (degree, largest exponent) of each generator of each node
+    for phi in phis:
+        if untruncated:
+            gens += [(-i if phi(i) > 0 else i, reach // i) for i in range(1, reach + 1)]
+        else:
+            gens += [(-i if phi(i) > 0 else i, trunc.max_exponent)
+                     for i in range(1, trunc.max_index + 1)]
+    counts = Counter()
+    for exps in itertools.product(*(range(top + 1) for _, top in gens)):
+        m = sum(e * deg for e, (deg, _) in zip(exps, gens))
+        if lo <= m <= hi:
+            counts[m] += 1
+    return counts
 
 
 def test_support_membership():
@@ -109,6 +138,24 @@ def test_counts_match_brute_force(series, rank):
                 assert rep.truncated_count == brute_force_count(cd, beta, k, vdims, window)
 
 
+@pytest.mark.parametrize("series,rank,betas", [
+    ("A", 1, [(0,), (1,), (3,)]),
+    ("A", 2, [(1, 1), (2, 1)]),
+    ("C", 2, [(1, 1), (1, 2)]),
+    ("G", 2, [(1, 1), (2, 1)]),
+])
+def test_shift_series_matches_multiset_enumeration(series, rank, betas):
+    cd = load_type(series, rank)
+    for beta in betas:
+        for window in (0, 1, 2):
+            reach = window * sum(beta)
+            # with the inducing module on degree 0 alone, the count at k is
+            # the number of multisets with total shift k
+            brute = {d: brute_force_count(cd, beta, d, GradedDims.line(0), window)
+                     for d in range(-reach, reach + 1)}
+            assert _shift_series(cd, beta, window) == {d: c for d, c in brute.items() if c}
+
+
 def test_count_symmetric_in_shift_for_centered_inducing_module():
     cd = load_type("A", 2)
     vdims = GradedDims.line(0)
@@ -172,6 +219,29 @@ def test_phi_verma_graded_dims_window():
     assert not any(dims.dim(m)[1] for m in range(-4, 2))
     mixed = phi_verma_graded_dims([MIXED], 1, -2, 2, Truncation(4, 4))
     assert all(mixed.dim(m)[1] for m in range(-2, 3))
+
+
+_SIGNATURES = {
+    1: ["+", "-", "+-:+", "-:+"],
+    2: ["+,+", "-,-", "+,-", "+-:+,+"],
+    3: ["+,+,+", "-,-,-", "+,-,+", "+-:+,-,:+-"],
+}
+_REACH = {1: 7, 2: 5, 3: 3}
+_TRUNC = {1: Truncation(4, 3), 2: Truncation(3, 3), 3: Truncation(3, 2)}
+
+
+@pytest.mark.parametrize("rank,signs", [(r, s) for r, signs in _SIGNATURES.items()
+                                        for s in signs])
+def test_phi_verma_graded_dims_match_brute_force(rank, signs):
+    phis = [PhiSignature.parse(s) for s in signs.split(",")]
+    r = _REACH[rank]
+    # below, above and straddling 0: a constant sign reaches its window's far end
+    for lo, hi in [(-r, -1), (1, r), (-r, 2), (-2, r)]:
+        dims = phi_verma_graded_dims(phis, 1, lo, hi, _TRUNC[rank])
+        brute = brute_force_dims(phis, lo, hi, _TRUNC[rank])
+        assert [dims.dim(m)[0] for m in range(lo, hi + 1)] == \
+            [brute[m] for m in range(lo, hi + 1)]
+        assert dims.infinite == (frozenset() if _one_sign(phis) else frozenset(range(lo, hi + 1)))
 
 
 def test_report_json_shape():
