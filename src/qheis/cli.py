@@ -156,12 +156,15 @@ def _unique_keys(pairs):
 
 
 def _parse_vdims(text):
+    shape = '--vdims must be a nonempty JSON object {"degree": dim}'
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("--vdims is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{shape}: {exc}") from None
     if not isinstance(raw, dict) or not raw:
-        raise ValueError('--vdims must be a nonempty JSON object {"degree": dim}')
+        raise ValueError(shape)
     counts = {}
     infinite = set()
     for key, val in raw.items():
@@ -200,7 +203,7 @@ def _cmd_loop_mult(args):
     else:
         ks = [0 if args.k is None else args.k]
     trunc = Truncation(args.max_index, args.max_exp)
-    if args.vdims:
+    if args.vdims is not None:
         vdims = _parse_vdims(args.vdims)
         reports = [weight_multiplicity(cd, beta, k, vdims, args.window).to_json()
                    for k in ks]

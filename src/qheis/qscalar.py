@@ -56,42 +56,69 @@ _KRONECKER_MIN_PAIRS = 64
 
 
 def _pmul(a, b):
-    """The product of two Laurent polynomials.
-
-    Large products go through Kronecker substitution (Harvey, arXiv:0712.4046):
-    both operands are scaled to integer coefficients, each is packed into one
-    int with a digit of 8*nbytes bits per exponent step, the two ints are
-    multiplied, and the product is read back digit by digit.  A digit holds
-    any coefficient of modulus below 2^(8*nbytes - 1), and no product
-    coefficient exceeds max|a| * max|b| * min(len a, len b).
-    """
+    # the schoolbook loop below _KRONECKER_MIN_PAIRS, else a power product
     if len(a) * len(b) < _KRONECKER_MIN_PAIRS:
         return _pmul_schoolbook(a, b)
-    den_a, ints_a = _integer_coefficients(a)
-    den_b, ints_b = _integer_coefficients(b)
-    low_a, low_b = min(a), min(b)
+    return _power_product(((a, 1), (b, 1)))
+
+
+def _power_product(factors, count=1):
+    """count * prod p^k over pairs (Laurent polynomial p, int k >= 0), count != 0.
+
+    Each factor is scaled to integers over its least common denominator and
+    raised to its power at its own digit width, as no coefficient of P^k
+    exceeds |P|_1^(k-1) * max|P|; the integer powers are multiplied in turn,
+    where no coefficient of a*b exceeds min(|a|_1 max|b|, max|a| |b|_1); and
+    each output coefficient becomes a Fraction once.
+    """
+    den, out = 1, None
+    for p, k in factors:
+        if not k:
+            continue
+        if not p:
+            return {}
+        d, ints = _integer_coefficients(p)
+        den *= d ** k
+        if k > 1:
+            ints = _kronecker((ints,), k, _norm1(ints) ** (k - 1) * _top(ints))
+        if out is not None:
+            bound = min(_norm1(out) * _top(ints), _top(out) * _norm1(ints))
+            ints = _kronecker((out, ints), 1, bound)
+        out = ints
+    return {e: Fraction(c * count, den) for e, c in (out or {0: 1}).items()}
+
+
+def _norm1(ints):
+    return sum(map(abs, ints.values()))
+
+
+def _top(ints):
+    return max(map(abs, ints.values()))
+
+
+def _kronecker(polys, k, bound):
+    """(prod polys)^k for {exponent: int} polys by Kronecker substitution
+    (Harvey, arXiv:0712.4046): one int per poly with a digit of 8*nbytes bits
+    per exponent step, one big-integer product and power, and one unpack.  A
+    digit holds any |coefficient| below 2^(8*nbytes - 1); bound caps them all.
+    """
+    lows = [min(p) for p in polys]
     # exponents often step by 2 or 4 (powers of q = s^2): pack one digit per step
-    step = gcd(*(e - low_a for e in a), *(e - low_b for e in b))
-    bound = (max(map(abs, ints_a.values())) * max(map(abs, ints_b.values()))
-             * min(len(a), len(b)))
+    step = gcd(*(e - low for p, low in zip(polys, lows) for e in p)) or 1
     nbytes = (bound.bit_length() + 8) // 8
-    digits_a = (max(a) - low_a) // step + 1
-    digits_b = (max(b) - low_b) // step + 1
-    digits = digits_a + digits_b - 1
-    product = (_pack(ints_a, low_a, step, nbytes, digits_a)
-               * _pack(ints_b, low_b, step, nbytes, digits_b))
+    value, digits = 1, 1
+    for p, low in zip(polys, lows):
+        span = (max(p) - low) // step
+        value *= _pack(p, low, step, nbytes, span + 1)
+        digits += k * span
+    value **= k
     # a half-digit bias makes every digit nonnegative, so one to_bytes unpacks
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * digits, "little")
-    raw = (product + bias).to_bytes(digits * nbytes, "little")
-    den = den_a * den_b
-    low = low_a + low_b
-    out = {}
-    for k in range(digits):
-        c = int.from_bytes(raw[k * nbytes:(k + 1) * nbytes], "little") - half
-        if c:
-            out[low + k * step] = Fraction(c, den)
-    return out
+    raw = (value + bias).to_bytes(digits * nbytes, "little")
+    low = k * sum(lows)
+    return {low + i * step: c for i in range(digits)
+            if (c := int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half)}
 
 
 def _integer_coefficients(p):
@@ -218,16 +245,17 @@ def _poly_str(p):
         return "0"
     parts = []
     for e, c in sorted(p.items(), reverse=True):
-        mag = -c if c < 0 else c
+        n, d = c.numerator, c.denominator
+        mag = f"{abs(n)}" if d == 1 else f"{abs(n)}/{d}"
         if e == 0:
-            body = f"{mag}"
+            body = mag
         else:
             sym = "s" if e == 1 else f"s^{e}"
-            body = sym if mag == 1 else f"{mag}*{sym}"
+            body = sym if mag == "1" else f"{mag}*{sym}"
         if not parts:
-            parts.append(("-" if c < 0 else "") + body)
+            parts.append(("-" if n < 0 else "") + body)
         else:
-            parts.append((" - " if c < 0 else " + ") + body)
+            parts.append((" - " if n < 0 else " + ") + body)
     return "".join(parts)
 
 
@@ -385,15 +413,11 @@ class Scalar:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return ONE / (self ** (-k))
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            return (ONE / self) ** -k
+        # powers of a coprime pair stay coprime, and the power of a monic
+        # denominator with nonzero constant term is one too: no gcd
+        return Scalar._reduced(_power_product(((self._num, k),)),
+                               _power_product(((self._den, k),)))
 
     def __eq__(self, other):
         other = Scalar._coerce(other)
@@ -443,6 +467,17 @@ def qfactorial(n: int, d: int = 1) -> Scalar:
     for k in range(1, n + 1):
         out = out * qint(k, d)
     return out
+
+
+def power_product(pairs, count: int = 1) -> Scalar:
+    """count * prod x^k over pairs (Scalar x, int k >= 0), count a nonzero int;
+    a gcd runs only when some factor has a nontrivial denominator."""
+    if any(k < 0 for _, k in pairs):
+        raise ValueError("power_product takes nonnegative exponents")
+    num = _power_product([(x._num, k) for x, k in pairs], count)
+    if all(x.is_laurent for x, k in pairs if k):
+        return Scalar._reduced(num, {0: Fraction(1)})
+    return Scalar(num, _power_product([(x._den, k) for x, k in pairs]))
 
 
 def specialize_q1(a: Scalar) -> Fraction:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .heisenberg import central_bracket
-from .qscalar import ONE, ZERO, Scalar
+from .qscalar import ONE, ZERO, Scalar, power_product
 
 __all__ = [
     "PhiSignature", "Truncation", "VermaModule", "build_module",
@@ -315,19 +315,19 @@ class VermaModule:
         The block is diagonal, and its diagonal entries are the Wick products
         prod_i e_i! (phi(i) c_i)^(e_i), so the determinant is
         (prod_u prod_i e_i!) * prod_i (phi(i) c_i)^(E_i) with E_i = sum_u e_i:
-        one power per index.
+        one power product, with the signs phi(i)^(E_i) in the integer factor.
         """
         count = 1
-        out = ONE
+        powers = []
         for (i, c), column in zip(pairing, zip(*basis)):
             total = sum(column)
             if not total:
                 continue
             if c.is_zero:
                 return ZERO
-            count *= prod(map(factorial, column))
-            out = out * (self.phi(i) * c) ** total
-        return count * out
+            count *= self.phi(i) ** total * prod(map(factorial, column))
+            powers.append((c, total))
+        return power_product(powers, count)
 
     def irreducible_at_truncation(self) -> IrreducibilityReport:
         N = self.truncation.max_index

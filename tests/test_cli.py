@@ -186,6 +186,19 @@ def test_large_mixed_verma_irred_output_is_pinned(capsys):
         "de8fbe0b46a170e7245be9b013aa76fa23624881480ddffe6d5154342010d1e2")
 
 
+def test_verma_irred_sweep_is_pinned(capsys):
+    # 60 commands over five signatures, levels -3..3, truncations (3,3), (4,2)
+    # and (2,4) and both formats: exit code, length and sha256 of stdout, pinned
+    # before the Gram determinants moved to one integer power product
+    sweep = json.loads((GOLDEN / "verma_irred_sweep.json").read_text())
+    assert len(sweep) == 60
+    for case in sweep:
+        code = run(case["argv"])
+        out = capsys.readouterr().out.encode()
+        assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+            case["exit"], case["bytes"], case["sha256"]), case["argv"]
+
+
 def _arithmetic_failures():
     yield "DivisionByZero", lambda: ONE / ZERO
     yield "PoleAtOne", lambda: specialize_q1(ONE / (s_power(2) - ONE))
@@ -280,6 +293,8 @@ def test_beta_length_validated(capsys):
     ('{"0": true}', "nonnegative"),
     ('{"x": 1}', "not an integer"),
     ("{", "Expecting"),
+    ("", "nonempty JSON object"),
+    ("x", "nonempty JSON object"),
     ("[" * 100_000, "nested too deeply"),
     ('{"1": 1, "01": 5}', "degree 1 is given twice"),
     ('{"0": 1, "0": 7}', "'0' is given twice"),

@@ -88,6 +88,24 @@ def test_inverse_matrix_a1():
     assert b == [[ONE / qint(2)]]
 
 
+def a_n_inverse_closed_form(n, k):
+    # C(k)^-1_ij = (k / [k]_q) [min(i,j)]_t [n+1-max(i,j)]_t / [n+1]_t with
+    # t = q^k; [m]_t is even in k, so it is the bracket in base q^|k|
+    def t_bracket(m):
+        return qint(m, abs(k))
+
+    return [[Fraction(k) / qint(k) * t_bracket(min(i, j)) * t_bracket(n + 1 - max(i, j))
+             / t_bracket(n + 1) for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("convention", [QJ, PLAIN])
+@pytest.mark.parametrize("k", [1, 2, 3, -2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inverse_matrix_a_n_equals_the_closed_form(n, k, convention):
+    alg = HeisenbergAlgebra(load_type("A", n), convention)
+    assert inverse_structure_matrix(alg, k) == a_n_inverse_closed_form(n, k)
+
+
 def test_inverse_matrix_a2_against_adjugate_oracle():
     alg = HeisenbergAlgebra(load_type("A", 2))
     a = structure_matrix(alg, 1)

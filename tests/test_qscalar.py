@@ -15,6 +15,8 @@ from qheis.qscalar import (
     UndefinedFactorial,
     _pmul,
     _pmul_schoolbook,
+    _poly_str,
+    power_product,
     qfactorial,
     qint,
     s_power,
@@ -218,20 +220,24 @@ def _results(a, b):
         yield ONE / b
 
 
+def assert_canonical(x):
+    num, den = x.num_terms, x.den_terms
+    # an ordinary polynomial with nonzero constant term, monic
+    assert min(den) == 0 and den[0] != 0 and den[max(den)] == 1
+    assert all(isinstance(c, Fraction) and c for c in (*num.values(), *den.values()))
+    if x.is_zero:
+        assert str(x) == "0 / 1"
+    else:
+        flat = {e - min(num): c for e, c in num.items()}
+        assert poly_gcd_degree(flat, den) == 0
+
+
 def test_canonical_form_invariants():
     rng = random.Random(5)
     for _ in range(300):
         a, b = _random_scalar(rng), _random_scalar(rng)
         for x in _results(a, b):
-            num, den = x.num_terms, x.den_terms
-            # an ordinary polynomial with nonzero constant term, monic
-            assert min(den) == 0 and den[0] != 0 and den[max(den)] == 1
-            assert all(isinstance(c, Fraction) and c for c in (*num.values(), *den.values()))
-            if x.is_zero:
-                assert str(x) == "0 / 1"
-            else:
-                flat = {e - min(num): c for e, c in num.items()}
-                assert poly_gcd_degree(flat, den) == 0
+            assert_canonical(x)
     assert str(qint(2) - qint(2)) == str(ZERO) == "0 / 1"
 
 
@@ -352,3 +358,110 @@ def test_power_equals_repeated_product(x, k):
     for _ in range(abs(k)):
         expected = expected * x
     assert x ** k == (expected if k >= 0 else ONE / expected)
+
+
+# -- powers and power products on integer polynomials -------------------------
+
+POWER_BASES = {
+    "qint3": qint(3),
+    "laurent": Scalar({-3: Fraction(-2, 3), 1: Fraction(5, 7), 4: 1}),
+    "monomial": Scalar({-2: Fraction(-3, 4)}),
+    "quotient": qint(3) / qint(2),
+    # linear over linear: the Fraction-coefficient gcd oracle in assert_canonical
+    # stays fast up to the 40th power
+    "rational-den": Scalar({1: 2, 0: Fraction(-1, 3)}, {1: Fraction(5, 2), 0: 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
+def test_power_equals_repeated_product_up_to_forty(name):
+    x = POWER_BASES[name]
+    expected = ONE
+    for k in range(41):
+        got = x ** k
+        assert got == expected
+        assert_canonical(got)
+        if k in (1, 2, 7, 40):
+            inverse = x ** -k
+            assert inverse == ONE / expected
+            assert_canonical(inverse)
+        expected = expected * x
+
+
+@pytest.mark.parametrize("den", [1, 3**7])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("past_edge", [False, True])
+@pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
+def test_power_of_a_monomial_at_the_digit_bound(nbytes, past_edge, sign, den):
+    # the power bound |P|_1^(k-1) * max|P| is exact on a monomial: for k = 1
+    # (mod 8), c^k is the largest value that fits a signed digit of 8*m - 1 bits
+    # when c = 2^(8n-1) - 1, or the smallest that does not when c = 2^(8n-1)
+    edge = 1 << (8 * nbytes - 1)
+    c = edge if past_edge else edge - 1
+    x = Scalar({5: Fraction(sign * c, den)})
+    expected = ONE
+    for k in range(1, 18):
+        expected = expected * x
+        got = x ** k
+        assert got == expected and got.num_terms == {5 * k: Fraction(sign * c, den) ** k}
+        assert_canonical(got)
+    # the tight bound of a square: (big (1 + s^2))^2 peaks at 2 big^2 = |P|_1 * max|P|
+    big = (1 << (4 * nbytes - 1)) - (0 if past_edge else 1)
+    y = Scalar({0: Fraction(sign * big, den), 2: Fraction(sign * big, den)})
+    assert (y ** 2).num_terms[2] * den * den == 2 * big * big
+    assert ((2 * big * big) >= edge) == past_edge
+    assert y ** 2 == y * y
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(scalars(), st.integers(0, 4)), max_size=3),
+       st.integers(-10**6, 10**6).filter(bool))
+def test_power_product_equals_the_product_of_powers(pairs, count):
+    expected = Scalar({0: count})
+    for x, k in pairs:
+        expected = expected * x ** k
+    got = power_product(pairs, count)
+    assert got == expected
+    assert_canonical(got)
+
+
+def test_power_product_of_laurent_factors_and_its_validation():
+    pairs = [(qint(3), 4), (Scalar({-2: 1, 2: Fraction(-1, 2)}), 3), (qint(5), 0)]
+    assert power_product(pairs, -6) == -6 * qint(3) ** 4 * Scalar({-2: 1, 2: Fraction(-1, 2)}) ** 3
+    assert power_product([], 5) == 5 and power_product([(ZERO, 2)]) == ZERO
+    assert power_product([(ZERO, 0)]) == ONE
+    with pytest.raises(ValueError, match="nonnegative"):
+        power_product([(qint(2), -1)])
+
+
+def poly_str_fraction(p):
+    # the formatter as it was on Fraction coefficients, kept as the oracle
+    if not p:
+        return "0"
+    parts = []
+    for e, c in sorted(p.items(), reverse=True):
+        mag = -c if c < 0 else c
+        if e == 0:
+            body = f"{mag}"
+        else:
+            sym = "s" if e == 1 else f"s^{e}"
+            body = sym if mag == 1 else f"{mag}*{sym}"
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts)
+
+
+_UNIT_HEAVY = (st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-7, 3)])
+               | st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars(), st.dictionaries(st.integers(-3, 3), _UNIT_HEAVY, max_size=7))
+def test_poly_str_equals_the_fraction_formatter(x, p):
+    p = {e: c for e, c in p.items() if c}
+    assert _poly_str(p) == poly_str_fraction(p)
+    for part in (x.num_terms, x.den_terms):
+        assert _poly_str(part) == poly_str_fraction(part)
+    assert str(x) == poly_str_fraction(x.num_terms) + " / " + poly_str_fraction(x.den_terms)
