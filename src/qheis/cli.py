@@ -48,11 +48,6 @@ def _emit(obj, fmt, table_renderer):
             print(line)
 
 
-def _convention(args):
-    return (StructureConvention.QJ_BRACKET if args.convention == "paper"
-            else StructureConvention.PLAIN_Q)
-
-
 def _cmd_cartan(args):
     cd = load_type(args.type, args.rank)
     obj = cd.to_json()
@@ -76,11 +71,10 @@ def _cmd_qnum(args):
     value = qint(args.n, args.d)
     if args.at_q1:
         rat = specialize_q1(value)
-        out = int(rat) if rat.denominator == 1 else str(rat)
-        print(json.dumps(out) if args.format == "json" else out)
+        obj = int(rat) if rat.denominator == 1 else str(rat)
     else:
-        text = str(value)
-        print(json.dumps(text) if args.format == "json" else text)
+        obj = str(value)
+    _emit(obj, args.format, lambda o: [o])
     return 0
 
 
@@ -99,13 +93,15 @@ def _emit_checks(checks, args):
 
 
 def _cmd_heis_verify(args):
-    alg = HeisenbergAlgebra(load_type(args.type, args.rank), _convention(args), args.level)
+    cd = load_type(args.type, args.rank)
+    alg = HeisenbergAlgebra(cd, StructureConvention(args.convention), args.level)
     return _emit_checks(verify_canonical_relations(alg, args.max_k), args)
 
 
 def _cmd_weyl_verify(args):
     cd = load_type(args.type, args.rank)
-    return _emit_checks(verify_weyl_iso(cd, args.level, args.max_k, _convention(args)), args)
+    return _emit_checks(verify_weyl_iso(cd, args.level, args.max_k,
+                                        StructureConvention(args.convention)), args)
 
 
 def _module(args):
@@ -310,49 +306,17 @@ def build_parser():
     add_format(p)
     p.set_defaults(func=_cmd_loop_mult)
 
+    # argparse binds a "number" after a flag as its value: let -:+ and -1:1 be numbers
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-[-+:0-9]*$")
     return parser
-
-
-# argparse reads a token that starts with '-' and is not a number as an
-# option, so a signature such as -:+ or a sweep such as -1:1 that follows its
-# flag is bound to it here: "--phi -:+" parses as "--phi=-:+".  A flag may be
-# abbreviated as argparse allows: an exact option name wins, else a prefix
-# that only one of the subcommand's options starts with.
-_DASH_VALUED_FLAGS = ("--phi", "--k-sweep")
-_DASH_VALUE_CHARS = set("+-:0123456789")
-
-
-def _long_options(parser, argv):
-    command = next((t for t in argv if not t.startswith("-")), None)
-    for action in parser._subparsers._group_actions:
-        sub = action.choices.get(command)
-        if sub is not None:
-            return [o for o in sub._option_string_actions if o.startswith("--")]
-    return []
-
-
-def _resolve_flag(token, options):
-    # an exact name is also a prefix of any longer option, so it stays itself
-    matches = [o for o in options if o.startswith(token)]
-    return matches[0] if len(matches) == 1 else token
-
-
-def _bind_dash_values(argv, options):
-    out = []
-    for token in argv:
-        if (out and _resolve_flag(out[-1], options) in _DASH_VALUED_FLAGS
-                and set(token) <= _DASH_VALUE_CHARS):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
 
 
 def run(argv) -> int:
     """Parse and execute; returns the exit code instead of raising SystemExit."""
     parser = build_parser()
     try:
-        args = parser.parse_args(_bind_dash_values(argv, _long_options(parser, argv)))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -452,10 +452,12 @@ def s_power(e: int) -> Scalar:
 
 @lru_cache(maxsize=None)
 def qint(n: int, d: int = 1) -> Scalar:
-    """The quantum integer [n] in base q^d: (q^(dn) - q^(-dn)) / (q^d - q^(-d))."""
+    """The quantum integer [n] in base q^d, (q^(dn) - q^(-dn)) / (q^d - q^(-d)),
+    as its Laurent sum sign(n) * sum_{j < |n|} s^(2d(|n| - 1 - 2j))."""
     if d < 1:
         raise ValueError("base exponent d must be a positive integer")
-    return (s_power(2 * d * n) - s_power(-2 * d * n)) / (s_power(2 * d) - s_power(-2 * d))
+    sign, m = Fraction(1 if n > 0 else -1), abs(n)
+    return Scalar._reduced({2 * d * (m - 1 - 2 * j): sign for j in range(m)}, {0: Fraction(1)})
 
 
 @lru_cache(maxsize=None)

@@ -170,6 +170,16 @@ def test_abbreviated_flag_takes_a_value_starting_with_a_dash(abbreviated, full, 
     assert capsys.readouterr().out == expected != ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verma-dims", "--phi", "--", "--level", "1"],
+    ["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep", "--", "0:1"],
+])
+def test_double_dash_ends_the_options_and_is_no_value(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "expected one argument" in captured.err
+
+
 def test_ambiguous_abbreviation_is_a_usage_error(capsys):
     assert run(["verma-dims", "--phi", "+", "--level", "1", "--max", "3"]) == 2
     assert "ambiguous" in capsys.readouterr().err
@@ -192,6 +202,20 @@ def test_verma_irred_sweep_is_pinned(capsys):
     # before the Gram determinants moved to one integer power product
     sweep = json.loads((GOLDEN / "verma_irred_sweep.json").read_text())
     assert len(sweep) == 60
+    for case in sweep:
+        code = run(case["argv"])
+        out = capsys.readouterr().out.encode()
+        assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+            case["exit"], case["bytes"], case["sha256"]), case["argv"]
+
+
+def test_cli_argv_sweep_is_pinned(capsys):
+    # 300 distinct command lines drawn from _argv with a fixed seed, among them
+    # abbreviated flags and values starting with '-' given as their own token:
+    # exit code, length and sha256 of stdout, pinned before argparse alone
+    # took over binding such values
+    sweep = json.loads((GOLDEN / "cli_argv_sweep.json").read_text())
+    assert len(sweep) == 300
     for case in sweep:
         code = run(case["argv"])
         out = capsys.readouterr().out.encode()
@@ -316,14 +340,16 @@ def test_invalid_vdims_is_a_usage_error(vdims, needle, capsys):
     (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep=1_0:11"], "'1_0'"),
     (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1,+1"], "'+1'"),
     (["verma-dims", "--phi", "+", "--level", "1_0"], "argument --level"),
+    # argparse reads -1:1 as a value, so it reaches integer() and fails there
+    (["verma-dims", "--phi", "+", "--level", "-1:1"], "invalid integer value: '-1:1'"),
     (["qnum", "--n", " 3"], "argument --n"),
     (["cartan", "--type", "A", "--rank", "\u0662"], "argument --rank"),
     (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep=1"],
      "--k-sweep must be LO:HI, got '1'"),
     (["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--k-sweep=1:2:3"],
      "--k-sweep must be LO:HI, got '1:2:3'"),
-], ids=["beta", "k-sweep", "beta-plus", "level", "space", "non-ascii", "k-sweep-one-bound",
-        "k-sweep-three-bounds"])
+], ids=["beta", "k-sweep", "beta-plus", "level", "level-sweep", "space", "non-ascii",
+        "k-sweep-one-bound", "k-sweep-three-bounds"])
 def test_integer_that_is_not_plain_decimal_is_a_usage_error(argv, needle, capsys):
     assert run(argv) == 2
     captured = capsys.readouterr()

@@ -81,6 +81,46 @@ def poly_gcd_degree(a, b):
     return max(a)
 
 
+_PRIMES = (2**61 - 1, 2**31 - 1, 10**9 + 7)
+
+
+def _mod_p(poly, p):
+    # coefficients mod p, lowest degree first; None when p divides a
+    # denominator or the leading coefficient, since then it cannot decide
+    if any(c.denominator % p == 0 for c in poly.values()):
+        return None
+    out = [0] * (max(poly) + 1)
+    for e, c in poly.items():
+        out[e] = c.numerator * pow(c.denominator, -1, p) % p
+    return out if out[-1] else None
+
+
+def _gcd_is_constant_mod(a, b, p):
+    # Euclid over GF(p) on coefficient lists with nonzero leading terms
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % p
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def coprime(a, b):
+    # Over a prime p that divides no denominator and neither leading
+    # coefficient, a common factor of a and b over Q (taken primitive in Z[x],
+    # Gauss) keeps its degree mod p; so a constant gcd mod p proves a and b
+    # coprime.  When no prime decides, Euclid over Fraction does.
+    for p in _PRIMES:
+        ra, rb = _mod_p(a, p), _mod_p(b, p)
+        if ra is not None and rb is not None and _gcd_is_constant_mod(ra, rb, p):
+            return True
+    return poly_gcd_degree(a, b) == 0
+
+
 def laurent(scalar):
     assert scalar.is_laurent
     return scalar.num_terms
@@ -100,6 +140,16 @@ def test_qint_negative_by_division_oracle():
     got = qint(-3, 2)
     assert laurent(got) == quo
     assert got == -(s_power(8) + ONE + s_power(-8))
+    # the closed form against (q^{dn} - q^{-dn}) / (q^d - q^{-d}) by long
+    # division, and against the gcd-reduced Scalar of that quotient
+    for d in range(1, 5):
+        assert qint(0, d) == ZERO
+        for n in [*range(-40, 0), *range(1, 41)]:
+            quo = poly_div_exact({2 * d * n: Fraction(1), -2 * d * n: Fraction(-1)},
+                                 {2 * d: Fraction(1), -2 * d: Fraction(-1)})
+            got = qint(n, d)
+            assert laurent(got) == quo and got == Scalar(quo)
+            assert str(got) == str(Scalar(quo))
 
 
 def test_qint_zero_and_base_validation():
@@ -229,7 +279,33 @@ def assert_canonical(x):
         assert str(x) == "0 / 1"
     else:
         flat = {e - min(num): c for e, c in num.items()}
-        assert poly_gcd_degree(flat, den) == 0
+        assert coprime(flat, den)
+
+
+def test_coprime_equals_euclid_over_fraction():
+    # with and without a planted common factor, and with coefficients whose
+    # numerator or denominator one of the primes divides
+    rng = random.Random(11)
+    big = [1, 1, 1, *_PRIMES]
+
+    def poly(top):
+        out = {e: Fraction(rng.randint(-3, 3) * rng.choice(big), rng.randint(1, 3)
+                           * rng.choice(big)) for e in range(top + 1)}
+        out[top] = out[top] or Fraction(1)
+        return {e: c for e, c in out.items() if c}
+
+    verdicts = []
+    for _ in range(300):
+        a, b = poly(rng.randint(0, 4)), poly(rng.randint(0, 4))
+        if rng.random() < 0.5:
+            g = poly(rng.randint(1, 2))
+            a, b = poly_mul(a, g), poly_mul(b, g)
+        verdicts.append(coprime(a, b))
+        assert verdicts[-1] == (poly_gcd_degree(a, b) == 0), (a, b)
+    assert 50 < sum(verdicts) < 250
+    # x + p and x share a root mod p only, and another prime decides
+    for p in _PRIMES:
+        assert coprime({1: Fraction(1), 0: Fraction(p)}, {1: Fraction(1)})
 
 
 def test_canonical_form_invariants():
@@ -367,9 +443,11 @@ POWER_BASES = {
     "laurent": Scalar({-3: Fraction(-2, 3), 1: Fraction(5, 7), 4: 1}),
     "monomial": Scalar({-2: Fraction(-3, 4)}),
     "quotient": qint(3) / qint(2),
-    # linear over linear: the Fraction-coefficient gcd oracle in assert_canonical
-    # stays fast up to the 40th power
     "rational-den": Scalar({1: 2, 0: Fraction(-1, 3)}, {1: Fraction(5, 2), 0: 1}),
+    # the Fraction coefficients of its powers grow fast; coprime() checks
+    # them over GF(p), where Euclid over Fraction alone took 20 s for k <= 32
+    "rational-quadratic-den": Scalar({1: 2, 0: Fraction(-1, 3)},
+                                     {2: Fraction(5, 2), 0: 1, -1: 3}),
 }
 
 
