@@ -205,8 +205,8 @@ def _cmd_loop_mult(args):
                    for k in ks]
     else:
         phi = PhiSignature.parse(args.phi)
-        reports = [phi_verma_weight_dim(cd, phi, args.level, beta, k, args.window,
-                                        trunc).to_json() for k in ks]
+        reports = [phi_verma_weight_dim(cd, phi, beta, k, args.window, trunc).to_json()
+                   for k in ks]
     obj = reports if args.k_sweep is not None else reports[0]
 
     def table(o):
@@ -297,7 +297,8 @@ def build_parser():
     p.add_argument("--k-sweep", default=None, help="LO:HI sweep over the delta shift (CSV in table mode)")
     p.add_argument("--window", type=integer, default=3, help="bound on each monomial shift")
     p.add_argument("--phi", default="+", help="sign signature for the inducing module")
-    p.add_argument("--level", type=integer, default=1)
+    p.add_argument("--level", type=integer, default=1,
+                   help="ignored: the counts depend on --phi and the truncation only")
     p.add_argument("--vdims", default=None,
                    help='JSON {"degree": dim} for a user-supplied inducing module '
                         '("inf" marks a degree as infinite-dimensional)')

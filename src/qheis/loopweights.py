@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .cartan import CartanData, positive_roots
-from .verma import (PhiSignature, Truncation, Verdict, VermaModule, _convolve,
+from .verma import (PhiSignature, Truncation, Verdict, _convolve, degree_counts,
                     partition_count)
 
 __all__ = [
@@ -149,19 +149,18 @@ def _mixed(phis) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _mixed_series(phis: tuple, level: int, trunc: Truncation):
+def _mixed_series(phis: tuple, trunc: Truncation):
     """The unwindowed product of the nodes' truncated degree counts.  Cached,
     so callers only read it."""
-    return reduce(_convolve, (VermaModule(phi, level, trunc)._degree_counts() for phi in phis))
+    return reduce(_convolve, (degree_counts(phi, trunc) for phi in phis))
 
 
-def phi_verma_graded_dims(phis, level: int, lo: int, hi: int,
-                          trunc: Truncation) -> GradedDims:
+def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDims:
     """Graded dimensions of the rank-many tensor factors picked out by the
-    signatures, on the window [lo, hi]."""
+    signatures, on the window [lo, hi].  They do not depend on the level."""
     phis = tuple(phis)
     if _mixed(phis):
-        series, infinite = _mixed_series(phis, level, trunc), frozenset(range(lo, hi + 1))
+        series, infinite = _mixed_series(phis, trunc), frozenset(range(lo, hi + 1))
     else:
         # every node constant with the same sign: all supports lie on one side,
         # so partition series cut at the window's far end give it exactly
@@ -173,8 +172,8 @@ def phi_verma_graded_dims(phis, level: int, lo: int, hi: int,
     return GradedDims(counts, infinite, (lo, hi))
 
 
-def phi_verma_weight_dim(cartan: CartanData, phis, level: int, beta, k: int,
-                         max_abs_k: int, trunc: Truncation) -> MultiplicityReport:
+def phi_verma_weight_dim(cartan: CartanData, phis, beta, k: int, max_abs_k: int,
+                         trunc: Truncation) -> MultiplicityReport:
     """Weight-space report for the module induced from a signature-picked
     inducing module: infinite for any non-constant signature and for any
     nonzero finite part; exact partition-convolution counts otherwise."""
@@ -183,7 +182,7 @@ def phi_verma_weight_dim(cartan: CartanData, phis, level: int, beta, k: int,
         raise NotInSupport(f"finite part {beta} is not a nonnegative root combination")
     phis = _broadcast_phis(phis, cartan.rank)
     reach = max_abs_k * max(sum(beta), 1)
-    vdims = phi_verma_graded_dims(phis, level, k - reach, k + reach, trunc)
+    vdims = phi_verma_graded_dims(phis, k - reach, k + reach, trunc)
     report = weight_multiplicity(cartan, beta, k, vdims, max_abs_k)
     if _mixed(phis) or beta != tuple([0] * len(beta)):
         report = MultiplicityReport(report.beta, report.k, report.truncated_count,

@@ -214,7 +214,7 @@ def _bump(acc, key, coeff):
         acc[key] = v
 
 
-def _reduce(pending, table, strategy):
+def _reduce(pending, table, strategy="leftmost"):
     key = table.sort_key
     done = {}
     while pending:
@@ -242,18 +242,17 @@ def normal_order(word, table: RelationTable, strategy="leftmost") -> AlgebraElem
     return _reduce({(tuple(word), 0): ONE}, table, strategy)
 
 
-def reduce_element(x: AlgebraElement, table: RelationTable, strategy="leftmost") -> AlgebraElement:
-    return _reduce(dict(x.items()), table, strategy)
+def reduce_element(x: AlgebraElement, table: RelationTable) -> AlgebraElement:
+    return _reduce(dict(x.items()), table)
 
 
-def multiply(x: AlgebraElement, y: AlgebraElement, table: RelationTable,
-             strategy="leftmost") -> AlgebraElement:
+def multiply(x: AlgebraElement, y: AlgebraElement, table: RelationTable) -> AlgebraElement:
     """Bilinear extension of word concatenation followed by normal ordering."""
     pending = {}
     for (w1, g1), c1 in x.items():
         for (w2, g2), c2 in y.items():
             _bump(pending, (w1 + w2, g1 + g2), c1 * c2)
-    return _reduce(pending, table, strategy)
+    return _reduce(pending, table)
 
 
 def commutator(x: AlgebraElement, y: AlgebraElement, table: RelationTable) -> AlgebraElement:

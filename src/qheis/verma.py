@@ -18,7 +18,7 @@ from .heisenberg import central_bracket
 from .qscalar import ONE, ZERO, Scalar, power_product
 
 __all__ = [
-    "PhiSignature", "Truncation", "VermaModule", "build_module",
+    "PhiSignature", "Truncation", "VermaModule", "build_module", "degree_counts",
     "Verdict", "GradedDimReport", "IrreducibilityReport",
     "TruncationExceeded", "EmptyComponent", "partition_count",
 ]
@@ -151,20 +151,35 @@ def _convolve(a, b):
     return out
 
 
+def _lowering_degree(phi: PhiSignature, i: int) -> int:
+    """Signed degree of the lowering generator at index i: -phi(i) * i."""
+    return -phi(i) * i
+
+
+@lru_cache(maxsize=None)
+def degree_counts(phi: PhiSignature, truncation: Truncation) -> dict:
+    """{degree: basis monomials}: the product over i of {e * deg_i: 1}, e <= E.
+    The level plays no part.  Cached, so callers only read it."""
+    counts = {0: 1}
+    for i in range(1, truncation.max_index + 1):
+        deg = _lowering_degree(phi, i)
+        counts = _convolve(counts, {e * deg: 1 for e in range(truncation.max_exponent + 1)})
+    return counts
+
+
+@dataclass(frozen=True)
 class VermaModule:
     """A truncated imaginary Verma-type module for one oscillator family."""
 
-    def __init__(self, phi: PhiSignature, level: int, truncation: Truncation):
-        self.phi = phi
-        self.level = level
-        self.truncation = truncation
-        self._counts = None
+    phi: PhiSignature
+    level: int | None
+    truncation: Truncation
 
     # -- presentation ------------------------------------------------
 
     def lowering_degree(self, i: int) -> int:
         """Signed degree of the lowering generator at index i."""
-        return -i if self.phi(i) > 0 else i
+        return _lowering_degree(self.phi, i)
 
     # -- basis -------------------------------------------------------
 
@@ -177,23 +192,13 @@ class VermaModule:
         for i in range(N - 1, -1, -1):
             lo[i] = lo[i + 1] + min(0, E * degs[i])
             hi[i] = hi[i + 1] + max(0, E * degs[i])
-        out = []
-        vec = [0] * N
-
-        def rec(idx, residual):
-            if residual < lo[idx] or residual > hi[idx]:
-                return
-            if idx == N:
-                if residual == 0:
-                    out.append(tuple(vec))
-                return
-            for e in range(E + 1):
-                vec[idx] = e
-                rec(idx + 1, residual - e * degs[idx])
-            vec[idx] = 0
-
-        rec(0, n)
-        return out
+        # extend (prefix, residual) pairs index by index, in lexicographic order,
+        # while later indices can cover the residual; lo[N] = hi[N] = 0 at the end
+        layer = [((), n)]
+        for idx, deg in enumerate(degs, start=1):
+            layer = [(vec + (e,), r - e * deg) for vec, r in layer for e in range(E + 1)
+                     if lo[idx] <= r - e * deg <= hi[idx]]
+        return [vec for vec, _ in layer]
 
     # -- generator action ---------------------------------------------
 
@@ -231,19 +236,8 @@ class VermaModule:
 
     # -- graded dimensions ---------------------------------------------
 
-    def _degree_counts(self):
-        """{degree: basis monomials}: the product over i of {e * deg_i: 1}, e <= E."""
-        if self._counts is None:
-            N, E = self.truncation.max_index, self.truncation.max_exponent
-            counts = {0: 1}
-            for i in range(1, N + 1):
-                deg = self.lowering_degree(i)
-                counts = _convolve(counts, {e * deg: 1 for e in range(E + 1)})
-            self._counts = counts
-        return self._counts
-
     def truncated_dim(self, n: int) -> int:
-        return self._degree_counts().get(n, 0)
+        return degree_counts(self.phi, self.truncation).get(n, 0)
 
     def graded_dim(self, n: int) -> GradedDimReport:
         N = self.truncation.max_index

@@ -137,16 +137,14 @@ def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,
     alg = HeisenbergAlgebra(cartan, convention, level)
     loop = relation_table(alg)
     weyl = weyl_relation_table()
-
-    def d(i, k):
-        return AlgebraElement.from_word((d_gen(i, k),), qint(k * level))
-
-    def x(i, k):
-        return AlgebraElement.from_gen(x_gen(i, k))
+    # images under to_weyl, so that the check covers the map the library ships
+    indices = [(i, k) for i in range(1, cartan.rank + 1) for k in range(1, max_k + 1)]
+    d = {(i, k): to_weyl(AlgebraElement.from_gen(h_gen(i, k)), level) for i, k in indices}
+    x = {(i, k): to_weyl(AlgebraElement.from_gen(hp_gen(i, -k)), level) for i, k in indices}
 
     def pairing(i, j, k, l, primed):
         heis_side = commutator(AlgebraElement.from_gen(h_gen(i, k)), primed[(j, l)], loop)
-        weyl_side = commutator(d(i, k), x(j, l), weyl)
+        weyl_side = commutator(d[(i, k)], x[(j, l)], weyl)
         if i == j and k == l:
             expected = AlgebraElement.from_scalar(gamma_bracket(k, level)[0])
         else:
@@ -154,11 +152,11 @@ def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,
         return heis_side, weyl_side, (heis_side - expected) + (weyl_side - expected)
 
     def pos_commute(i, j, k, l, primed):
-        dd = commutator(d(i, k), d(j, l), weyl)
+        dd = commutator(d[(i, k)], d[(j, l)], weyl)
         return dd, AlgebraElement.zero(), dd
 
     def neg_commute(i, j, k, l, primed):
-        xx = commutator(x(i, k), x(j, l), weyl)
+        xx = commutator(x[(i, k)], x[(j, l)], weyl)
         return xx, AlgebraElement.zero(), xx
 
     return _check_relations(alg, max_k, [("weyl-pairing", pairing),

@@ -385,6 +385,18 @@ def test_k_sweep_entries_equal_single_k_runs(inducing, capsys):
     assert sweep == singles
 
 
+@pytest.mark.parametrize("phi", ["+", "+-:+"], ids=["constant", "mixed"])
+def test_loop_mult_counts_do_not_depend_on_the_level(phi, capsys):
+    # the inducing module's graded counts are a function of phi and the truncation
+    argv = ["loop-mult", "--type", "A", "--rank", "2", "--beta", "1,1", "--k-sweep=-2:2",
+            "--window", "2", f"--phi={phi}", "--max-index", "4", "--max-exp", "3"]
+    outputs = set()
+    for level in ("-3", "0", "1", "2"):
+        assert run(argv + ["--level", level]) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1 and outputs != {""}
+
+
 def test_negative_and_zero_padded_integers_are_accepted(capsys):
     assert run(["verma-dims", "--phi", "+", "--level", "-1", "--max-index", "2",
                 "--max-exp", "2", "--format", "table"]) == 0

@@ -113,7 +113,7 @@ def test_not_in_support():
     with pytest.raises(NotInSupport):
         weight_multiplicity(cd, (-1,), 0, GradedDims.line(0), 3)
     with pytest.raises(NotInSupport):
-        phi_verma_weight_dim(cd, PLUS, 1, (-1,), 0, 3, Truncation(3, 3))
+        phi_verma_weight_dim(cd, PLUS, (-1,), 0, 3, Truncation(3, 3))
 
 
 def test_negative_window_rejected():
@@ -121,7 +121,7 @@ def test_negative_window_rejected():
     with pytest.raises(ValueError, match="window"):
         weight_multiplicity(cd, (0,), 0, GradedDims.line(0), -1)
     with pytest.raises(ValueError, match="window"):
-        phi_verma_weight_dim(cd, PLUS, 1, (0,), 0, -1, Truncation(3, 3))
+        phi_verma_weight_dim(cd, PLUS, (0,), 0, -1, Truncation(3, 3))
     assert weight_multiplicity(cd, (0,), 0, GradedDims.line(0), 0).truncated_count == 1
 
 
@@ -179,45 +179,45 @@ def test_count_monotone_in_window():
 
 def test_phi_verma_constant_signature():
     cd = load_type("A", 1)
-    rep = phi_verma_weight_dim(cd, PLUS, 1, (0,), -2, 3, Truncation(6, 6))
+    rep = phi_verma_weight_dim(cd, PLUS, (0,), -2, 3, Truncation(6, 6))
     assert rep.truncated_count == partition_count(2) == 2
     assert rep.verdict.render() == "FINITE(2)"
-    repm = phi_verma_weight_dim(cd, MINUS, 1, (0,), 3, 3, Truncation(6, 6))
+    repm = phi_verma_weight_dim(cd, MINUS, (0,), 3, 3, Truncation(6, 6))
     assert repm.verdict.render() == "FINITE(3)"
-    zero_side = phi_verma_weight_dim(cd, PLUS, 1, (0,), 2, 3, Truncation(6, 6))
+    zero_side = phi_verma_weight_dim(cd, PLUS, (0,), 2, 3, Truncation(6, 6))
     assert zero_side.verdict.render() == "FINITE(0)"
 
 
 def test_phi_verma_mixed_signature_infinite():
     cd = load_type("A", 1)
     for beta, k in [((0,), 0), ((1,), 2), ((0,), -1)]:
-        rep = phi_verma_weight_dim(cd, MIXED, 1, beta, k, 3, Truncation(4, 4))
+        rep = phi_verma_weight_dim(cd, MIXED, beta, k, 3, Truncation(4, 4))
         assert rep.verdict.kind == "INFINITE"
 
 
 def test_phi_verma_nonzero_beta_infinite():
     cd = load_type("A", 1)
-    rep = phi_verma_weight_dim(cd, PLUS, 1, (1,), 0, 3, Truncation(4, 4))
+    rep = phi_verma_weight_dim(cd, PLUS, (1,), 0, 3, Truncation(4, 4))
     assert rep.verdict.kind == "INFINITE"
     assert rep.truncated_count == sum(partition_count(m) for m in range(4))  # shifts 0..-3 reachable
 
 
 def test_phi_verma_rank_two_convolution():
     cd = load_type("A", 2)
-    rep = phi_verma_weight_dim(cd, PLUS, 1, (0, 0), -2, 2, Truncation(6, 6))
+    rep = phi_verma_weight_dim(cd, PLUS, (0, 0), -2, 2, Truncation(6, 6))
     # two tensor factors: p(0)p(2) + p(1)p(1) + p(2)p(0)
     assert rep.truncated_count == 2 + 1 + 2
     assert rep.verdict.render() == "FINITE(5)"
     per_node = [PLUS, MINUS]
-    mixed_dirs = phi_verma_weight_dim(cd, per_node, 1, (0, 0), 0, 2, Truncation(4, 4))
+    mixed_dirs = phi_verma_weight_dim(cd, per_node, (0, 0), 0, 2, Truncation(4, 4))
     assert mixed_dirs.verdict.kind == "INFINITE"
 
 
 def test_phi_verma_graded_dims_window():
-    dims = phi_verma_graded_dims([PLUS], 1, -4, 1, Truncation(6, 6))
+    dims = phi_verma_graded_dims([PLUS], -4, 1, Truncation(6, 6))
     assert [dims.dim(m)[0] for m in range(-4, 2)] == [5, 3, 2, 1, 1, 0]
     assert not any(dims.dim(m)[1] for m in range(-4, 2))
-    mixed = phi_verma_graded_dims([MIXED], 1, -2, 2, Truncation(4, 4))
+    mixed = phi_verma_graded_dims([MIXED], -2, 2, Truncation(4, 4))
     assert all(mixed.dim(m)[1] for m in range(-2, 3))
 
 
@@ -237,7 +237,7 @@ def test_phi_verma_graded_dims_match_brute_force(rank, signs):
     r = _REACH[rank]
     # below, above and straddling 0: a constant sign reaches its window's far end
     for lo, hi in [(-r, -1), (1, r), (-r, 2), (-2, r)]:
-        dims = phi_verma_graded_dims(phis, 1, lo, hi, _TRUNC[rank])
+        dims = phi_verma_graded_dims(phis, lo, hi, _TRUNC[rank])
         brute = brute_force_dims(phis, lo, hi, _TRUNC[rank])
         assert [dims.dim(m)[0] for m in range(lo, hi + 1)] == \
             [brute[m] for m in range(lo, hi + 1)]
@@ -246,7 +246,7 @@ def test_phi_verma_graded_dims_match_brute_force(rank, signs):
 
 def test_report_json_shape():
     cd = load_type("A", 1)
-    obj = phi_verma_weight_dim(cd, PLUS, 1, (1,), 0, 2, Truncation(4, 4)).to_json()
+    obj = phi_verma_weight_dim(cd, PLUS, (1,), 0, 2, Truncation(4, 4)).to_json()
     assert obj["mu"] == {"beta": [1], "k": 0}
     assert obj["bounds"] == {"max_abs_k": 2}
     assert set(obj) == {"mu", "truncated_count", "verdict", "bounds"}

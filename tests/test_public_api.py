@@ -1,7 +1,10 @@
 """The public API is what the modules export and what README's library sketch uses."""
 
 import ast
+import dataclasses
+import enum
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import re
@@ -38,3 +41,18 @@ def test_package_exports_exactly_what_the_sketch_imports():
 
 def test_library_sketch_runs():
     exec(compile(_library_sketch(), str(README), "exec"), {})
+
+
+def _is_immutable(cls):
+    return (issubclass(cls, (BaseException, enum.Enum))
+            or (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
+            or "__slots__" in vars(cls))
+
+
+@pytest.mark.parametrize("modname", MODULES)
+def test_every_class_is_immutable(modname):
+    # README promises that all values are immutable after construction
+    module = importlib.import_module(modname)
+    classes = [cls for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == modname]
+    assert [cls.__qualname__ for cls in classes if not _is_immutable(cls)] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -11,7 +12,9 @@ from qheis.verma import (
     PhiSignature,
     Truncation,
     TruncationExceeded,
+    VermaModule,
     build_module,
+    degree_counts,
     partition_count,
 )
 
@@ -132,6 +135,13 @@ def test_basis_components_small_truncations():
     assert m.basis_component(0) == [(0, 0, 0)]
     mm = build_module(PhiSignature.parse("-:+"), 1, Truncation(2, 2))
     assert mm.basis_component(0) == [(0, 0), (2, 1)]  # v and a_1^2 a_{-2} v
+
+
+def test_basis_component_of_a_long_truncation_does_not_recurse():
+    # one Python frame per index would pass the interpreter's recursion limit
+    m = build_module(PLUS, 1, Truncation(1500, 1))
+    basis = m.basis_component(-3)
+    assert [[i + 1 for i, e in enumerate(vec) if e] for vec in basis] == [[3], [1, 2]]
 
 
 def test_basis_positive_degree_empty_for_constant_plus():
@@ -373,6 +383,24 @@ def test_report_shape():
     assert obj["verdict"] == "IRREDUCIBLE-CONSISTENT"
     assert obj["witness_degree"] is None
     assert list(obj)[:3] == list(m.header()) == ["phi", "level", "truncation"]
+
+
+def test_module_is_an_immutable_value():
+    m = build_module(MIXED, 2, Truncation(3, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.level = 3
+    twin = VermaModule(PhiSignature.parse("+-:+"), 2, Truncation(3, 2))
+    assert m == twin and hash(m) == hash(twin)
+    assert m != build_module(MIXED, 1, Truncation(3, 2))
+
+
+def test_degree_counts_do_not_depend_on_the_level():
+    counts = degree_counts(MIXED, Truncation(4, 3))
+    assert sum(counts.values()) == 4 ** 4
+    for level in (None, -2, 0, 1, 3):
+        m = build_module(MIXED, level, Truncation(4, 3))
+        assert [m.truncated_dim(n) for n in range(-30, 31)] == \
+            [counts.get(n, 0) for n in range(-30, 31)]
 
 
 def test_truncation_validation():

@@ -125,6 +125,18 @@ def test_verify_weyl_iso_small():
     assert all(c.passed for c in checks)
 
 
+def test_verify_weyl_iso_checks_the_shipped_map(monkeypatch):
+    # the Weyl side is built by to_weyl itself: a map that is off by a factor
+    # of 2 must fail every pairing with a nonzero bracket (the rest stay zero)
+    import qheis.weyliso as weyliso
+
+    shipped = weyliso.to_weyl
+    monkeypatch.setattr(weyliso, "to_weyl", lambda x, level: shipped(x, level) + shipped(x, level))
+    checks = verify_weyl_iso(load_type("A", 1), 2, 2)
+    assert [c.relation_id for c in checks if not c.passed] == \
+        ["weyl-pairing[i=1,j=1,k=1,l=1]", "weyl-pairing[i=1,j=1,k=2,l=2]"]
+
+
 def test_verify_weyl_iso_rejects_level_zero():
     with pytest.raises(ZeroLevel):
         verify_weyl_iso(load_type("A", 2), 0, 2)
