@@ -12,6 +12,7 @@ environment variable overrides the default output format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -219,7 +220,11 @@ def _cmd_loop_mult(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process: parsing leaves
+    no state on it.  Each subcommand's handler is _cmd_<command>, looked up
+    when it runs."""
     parser = argparse.ArgumentParser(
         prog="qheis",
         description="Exact desk-scale computations for quantum Heisenberg algebras, "
@@ -243,14 +248,12 @@ def build_parser():
     add_type_rank(p)
     p.add_argument("--roots", action="store_true", help="include the finite positive roots")
     add_format(p)
-    p.set_defaults(func=_cmd_cartan)
 
     p = sub.add_parser("qnum", help="quantum integer [n] in base q^d")
     p.add_argument("--n", required=True, type=integer)
     p.add_argument("--d", type=integer, default=1)
     p.add_argument("--at-q1", action="store_true", help="specialize q to 1")
     add_format(p)
-    p.set_defaults(func=_cmd_qnum)
 
     p = sub.add_parser("heis-verify",
                        help="verify the decoupled relations through the defining ones")
@@ -260,7 +263,6 @@ def build_parser():
                    help="specialize gamma = q^level (default: formal gamma)")
     add_convention(p)
     add_format(p)
-    p.set_defaults(func=_cmd_heis_verify)
 
     p = sub.add_parser("weyl-verify",
                        help="verify the level-specialized Weyl realization")
@@ -269,7 +271,6 @@ def build_parser():
     p.add_argument("--max-k", type=integer, default=6)
     add_convention(p)
     add_format(p)
-    p.set_defaults(func=_cmd_weyl_verify)
 
     p = sub.add_parser("verma-dims", help="truncated graded dimensions")
     p.add_argument("--phi", required=True, help="sign signature, e.g. '+' or '+-:+'")
@@ -279,7 +280,6 @@ def build_parser():
     p.add_argument("--from-degree", type=integer, default=None)
     p.add_argument("--to-degree", type=integer, default=None)
     add_format(p)
-    p.set_defaults(func=_cmd_verma_dims)
 
     p = sub.add_parser("verma-irred", help="truncation-scale irreducibility verdict")
     p.add_argument("--phi", required=True)
@@ -287,7 +287,6 @@ def build_parser():
     p.add_argument("--max-index", type=integer, default=6)
     p.add_argument("--max-exp", type=integer, default=6)
     add_format(p)
-    p.set_defaults(func=_cmd_verma_irred)
 
     p = sub.add_parser("loop-mult", help="truncated loop-module weight multiplicities")
     add_type_rank(p)
@@ -305,7 +304,6 @@ def build_parser():
     p.add_argument("--max-index", type=integer, default=6)
     p.add_argument("--max-exp", type=integer, default=6)
     add_format(p)
-    p.set_defaults(func=_cmd_loop_mult)
 
     # argparse binds a "number" after a flag as its value: let -:+ and -1:1 be numbers
     for p in sub.choices.values():
@@ -315,16 +313,15 @@ def build_parser():
 
 def run(argv) -> int:
     """Parse and execute; returns the exit code instead of raising SystemExit."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         args.format = args.format or os.environ.get("QAFF_FORMAT", "json")
         if args.format not in ("json", "table"):
             raise ValueError(f"QAFF_FORMAT must be json or table, got {args.format!r}")
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (InvalidType, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -54,6 +54,10 @@ def _pneg(a):
 # Below this many term pairs the schoolbook loop beats packing into ints.
 _KRONECKER_MIN_PAIRS = 64
 
+# Up to this many bytes per digit, packing every factor of a power product at
+# one common width beats raising each at its own width and multiplying in turn.
+_ONE_PACK_MAX_BYTES = 45
+
 
 def _pmul(a, b):
     # the schoolbook loop below _KRONECKER_MIN_PAIRS, else a power product
@@ -65,27 +69,35 @@ def _pmul(a, b):
 def _power_product(factors, count=1):
     """count * prod p^k over pairs (Laurent polynomial p, int k >= 0), count != 0.
 
-    Each factor is scaled to integers over its least common denominator and
-    raised to its power at its own digit width, as no coefficient of P^k
-    exceeds |P|_1^(k-1) * max|P|; the integer powers are multiplied in turn,
-    where no coefficient of a*b exceeds min(|a|_1 max|b|, max|a| |b|_1); and
-    each output coefficient becomes a Fraction once.
+    Each factor is scaled to integers over its least common denominator.  Up
+    to _ONE_PACK_MAX_BYTES bytes per digit, every factor is packed once at the
+    one width that holds the whole product and the product is unpacked once;
+    wider, each factor is raised at its own width and the integer powers are
+    multiplied in turn.  Each output coefficient becomes a Fraction once.
     """
-    den, out = 1, None
+    den, ints = 1, []
     for p, k in factors:
         if not k:
             continue
         if not p:
             return {}
-        d, ints = _integer_coefficients(p)
+        d, q = _integer_coefficients(p)
         den *= d ** k
-        if k > 1:
-            ints = _kronecker((ints,), k, _norm1(ints) ** (k - 1) * _top(ints))
-        if out is not None:
-            bound = min(_norm1(out) * _top(ints), _top(out) * _norm1(ints))
-            ints = _kronecker((out, ints), 1, bound)
-        out = ints
-    return {e: Fraction(c * count, den) for e, c in (out or {0: 1}).items()}
+        ints.append((q, k))
+    if not ints:
+        out = {0: 1}
+    elif (nbytes := _digit_bytes(ints)) <= _ONE_PACK_MAX_BYTES:
+        out = _kronecker(ints, nbytes)
+    else:
+        out = None
+        for q, k in ints:
+            if k > 1:
+                q = _kronecker([(q, k)], _digit_bytes([(q, k)]))
+            if out is not None:
+                pair = [(out, 1), (q, 1)]
+                q = _kronecker(pair, _digit_bytes(pair))
+            out = q
+    return {e: Fraction(c * count, den) for e, c in out.items()}
 
 
 def _norm1(ints):
@@ -96,27 +108,38 @@ def _top(ints):
     return max(map(abs, ints.values()))
 
 
-def _kronecker(polys, k, bound):
-    """(prod polys)^k for {exponent: int} polys by Kronecker substitution
-    (Harvey, arXiv:0712.4046): one int per poly with a digit of 8*nbytes bits
-    per exponent step, one big-integer product and power, and one unpack.  A
-    digit holds any |coefficient| below 2^(8*nbytes - 1); bound caps them all.
+def _digit_bytes(pairs):
+    """Bytes per digit that hold every coefficient of prod q^k over pairs
+    ({exponent: int} q, int k >= 1).  A coefficient of a*b is at most
+    |a|_1 * max|b|, so no coefficient exceeds the product of |q|_1 over all k
+    copies of every q with one copy's |q|_1 replaced by its max|q|; take the
+    smallest such bound.  A digit holds any |coefficient| below 2^(8*nbytes - 1).
     """
-    lows = [min(p) for p in polys]
+    norms = [_norm1(q) for q, _ in pairs]
+    total = prod(n ** k for n, (_, k) in zip(norms, pairs))
+    bound = min(total // n * _top(q) for n, (q, _) in zip(norms, pairs))
+    return (bound.bit_length() + 8) // 8
+
+
+def _kronecker(pairs, nbytes):
+    """prod q^k over pairs ({exponent: int} q, int k >= 1) by Kronecker
+    substitution (Harvey, arXiv:0712.4046): one int per q with a digit of
+    8*nbytes bits per exponent step, big-integer powers and products, and one
+    unpack.  nbytes must hold every coefficient of the product (_digit_bytes).
+    """
+    lows = [min(q) for q, _ in pairs]
     # exponents often step by 2 or 4 (powers of q = s^2): pack one digit per step
-    step = gcd(*(e - low for p, low in zip(polys, lows) for e in p)) or 1
-    nbytes = (bound.bit_length() + 8) // 8
+    step = gcd(*(e - low for (q, _), low in zip(pairs, lows) for e in q)) or 1
     value, digits = 1, 1
-    for p, low in zip(polys, lows):
-        span = (max(p) - low) // step
-        value *= _pack(p, low, step, nbytes, span + 1)
+    for (q, k), low in zip(pairs, lows):
+        span = (max(q) - low) // step
+        value *= _pack(q, low, step, nbytes, span + 1) ** k
         digits += k * span
-    value **= k
     # a half-digit bias makes every digit nonnegative, so one to_bytes unpacks
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * digits, "little")
     raw = (value + bias).to_bytes(digits * nbytes, "little")
-    low = k * sum(lows)
+    low = sum(k * low for (_, k), low in zip(pairs, lows))
     return {low + i * step: c for i in range(digits)
             if (c := int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") - half)}
 

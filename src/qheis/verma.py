@@ -167,6 +167,19 @@ def degree_counts(phi: PhiSignature, truncation: Truncation) -> dict:
     return counts
 
 
+def _divide_out(counts, deg, E):
+    """The {degree: count} series with one index's factor sum_{e <= E} x^(e*deg)
+    divided out.  That factor times 1 - x^deg is 1 - x^((E+1)*deg), so the
+    quotient Q has Q(n) = C(n) - C(n - deg) + Q(n - (E+1)*deg), read off from
+    the end of the series that deg points away from."""
+    lo, hi = min(counts), max(counts)
+    out = {}
+    for n in (range(lo, hi + 1) if deg > 0 else range(hi, lo - 1, -1)):
+        if v := counts.get(n, 0) - counts.get(n - deg, 0) + out.get(n - (E + 1) * deg, 0):
+            out[n] = v
+    return out
+
+
 @dataclass(frozen=True)
 class VermaModule:
     """A truncated imaginary Verma-type module for one oscillator family."""
@@ -187,17 +200,25 @@ class VermaModule:
         """Exponent vectors of total degree n, in lexicographic order."""
         N, E = self.truncation.max_index, self.truncation.max_exponent
         degs = [self.lowering_degree(i) for i in range(1, N + 1)]
-        lo = [0] * (N + 1)
-        hi = [0] * (N + 1)
-        for i in range(N - 1, -1, -1):
-            lo[i] = lo[i + 1] + min(0, E * degs[i])
-            hi[i] = hi[i + 1] + max(0, E * degs[i])
+        # the first idx indices leave a residual in [n - top[idx], n - bottom[idx]]
+        bottom, top = [0], [0]
+        for deg in degs:
+            bottom.append(bottom[-1] + min(0, E * deg))
+            top.append(top[-1] + max(0, E * deg))
+        # reach[idx]: the residuals in that window that the indices after idx
+        # cover; a residual they cover splits into one of reach[idx + 1] and a
+        # multiple of the next degree, so the windows lose no decomposition
+        reach = [None] * N + [{0}]
+        for idx in range(N - 1, -1, -1):
+            lo, hi = n - top[idx], n - bottom[idx]
+            reach[idx] = {r + e * degs[idx] for r in reach[idx + 1] for e in range(E + 1)
+                          if lo <= r + e * degs[idx] <= hi}
         # extend (prefix, residual) pairs index by index, in lexicographic order,
-        # while later indices can cover the residual; lo[N] = hi[N] = 0 at the end
+        # keeping a prefix only while later indices cover its residual
         layer = [((), n)]
         for idx, deg in enumerate(degs, start=1):
             layer = [(vec + (e,), r - e * deg) for vec, r in layer for e in range(E + 1)
-                     if lo[idx] <= r - e * deg <= hi[idx]]
+                     if r - e * deg in reach[idx]]
         return [vec for vec, _ in layer]
 
     # -- generator action ---------------------------------------------
@@ -303,36 +324,42 @@ class VermaModule:
             yield m
         yield 0
 
-    def _block_det(self, basis, pairing) -> Scalar:
-        """The determinant of a Gram block, in closed form.
+    def _block_det(self, n, pairing, others) -> Scalar:
+        """The determinant of the Gram block of degree n, in closed form.
 
         The block is diagonal, and its diagonal entries are the Wick products
         prod_i e_i! (phi(i) c_i)^(e_i), so the determinant is
         (prod_u prod_i e_i!) * prod_i (phi(i) c_i)^(E_i) with E_i = sum_u e_i:
         one power product, with the signs phi(i)^(E_i) in the integer factor.
+        No basis is built: with others[i - 1] the count series of the indices
+        but i, C_i(n - e*d_i) vectors have e_i = e, so E_i = sum_e e*C_i(n - e*d_i)
+        and the factorials multiply to prod_e (e!)^C_i(n - e*d_i).
         """
         count = 1
         powers = []
-        for (i, c), column in zip(pairing, zip(*basis)):
-            total = sum(column)
+        for (i, c), other in zip(pairing, others):
+            deg = self.lowering_degree(i)
+            with_e = [other.get(n - e * deg, 0) for e in range(self.truncation.max_exponent + 1)]
+            total = sum(e * m for e, m in enumerate(with_e))
             if not total:
                 continue
             if c.is_zero:
                 return ZERO
-            count *= self.phi(i) ** total * prod(map(factorial, column))
+            count *= self.phi(i) ** total * prod(factorial(e) ** m for e, m in enumerate(with_e))
             powers.append((c, total))
         return power_product(powers, count)
 
     def irreducible_at_truncation(self) -> IrreducibilityReport:
-        N = self.truncation.max_index
+        N, E = self.truncation.max_index, self.truncation.max_exponent
         pairing = tuple((k, self._pairing_scalar(k)) for k in range(1, N + 1))
+        counts = degree_counts(self.phi, self.truncation)
+        others = [_divide_out(counts, self.lowering_degree(k), E) for k in range(1, N + 1)]
         dets = {}
         witness = None
         for n in self._witness_scan_order():
-            basis = self.basis_component(n)
-            if not basis:
+            if not counts.get(n):
                 continue
-            dets[n] = d = self._block_det(basis, pairing)
+            dets[n] = d = self._block_det(n, pairing, others)
             if d.is_zero and witness is None:
                 witness = n
         ok = witness is None and all(not c.is_zero for _, c in pairing)

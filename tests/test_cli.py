@@ -1,6 +1,7 @@
 import ast
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qheis.cartan as cartan
 import qheis.cli as cli
 from qheis.cli import run
 from qheis.linalg import invert
@@ -496,3 +498,32 @@ def _argv(draw):
 def test_run_fuzz_exits_with_a_contract_code(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert run(argv) in (0, 1, 2)
+
+
+def _load_oracle():
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("qheis_bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
+
+_SIGNS = st.text("+-", min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_SIGNS, st.tuples(_SIGNS, _SIGNS).map(":".join)), st.integers(-3, 3),
+       st.integers(1, 4), st.integers(1, 4))
+def test_verma_irred_agrees_with_the_wick_oracle(phi, level, n_max, e_max):
+    # the benchmark's independent check of every exit-0 run: each Gram
+    # determinant at s0 = 3/2 against the Wick closed form over a brute-force basis
+    argv = ["verma-irred", f"--phi={phi}", "--level", str(level), "--max-index", str(n_max),
+            "--max-exp", str(e_max), "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = run(argv)
+    assert rc in (0, 2)
+    if rc == 0:
+        assert oracle.check(argv, rc, out.getvalue(), cartan) is None

@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from qheis.qscalar import (
     _KRONECKER_MIN_PAIRS,
+    _ONE_PACK_MAX_BYTES,
     ONE,
     ZERO,
     DivisionByZero,
     PoleAtOne,
     Scalar,
     UndefinedFactorial,
+    _digit_bytes,
+    _integer_coefficients,
     _pmul,
     _pmul_schoolbook,
     _poly_str,
+    _power_product,
     power_product,
     qfactorial,
     qint,
@@ -501,6 +505,58 @@ def test_power_product_equals_the_product_of_powers(pairs, count):
     got = power_product(pairs, count)
     assert got == expected
     assert_canonical(got)
+
+
+def product_by_schoolbook(factors):
+    out = {0: Fraction(1)}
+    for p, k in factors:
+        for _ in range(k):
+            out = _pmul_schoolbook(out, p)
+    return out
+
+
+def digit_width(factors):
+    return _digit_bytes([(_integer_coefficients(p)[1], k) for p, k in factors if k])
+
+
+@pytest.mark.parametrize("den", [1, 3**7])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("past_edge", [False, True])
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_power_product_of_monomials_at_the_width_bound(shift, past_edge, sign, den):
+    # the bound is exact on monomials: the product coefficient c is the largest
+    # value that fits nbytes-byte signed digits (c = 2^(8n-1) - 1), or the
+    # smallest that does not (c = 2^(8n-1)), with n beside the one-pack limit
+    nbytes = _ONE_PACK_MAX_BYTES + shift
+    edge = 1 << (8 * nbytes - 1)
+    c = edge if past_edge else edge - 1
+    factors = [({3: Fraction(c, den)}, 1), ({-2: Fraction(sign, den)}, 3),
+               ({5: Fraction(-1, den)}, 2), ({0: Fraction(7, 2)}, 0)]
+    assert digit_width(factors) == nbytes + past_edge
+    got = _power_product(factors, -5)
+    assert got == {7: Fraction(-5 * c * sign ** 3, den ** 6)}
+    assert got == {e: -5 * v for e, v in product_by_schoolbook(factors).items()}
+
+
+@pytest.mark.parametrize("above", [False, True])
+def test_power_product_on_both_sides_of_the_width_limit(above):
+    # random factor lists whose digit width lies just below or just above the
+    # limit at which the factors stop sharing one pack
+    band = (range(_ONE_PACK_MAX_BYTES + 1, _ONE_PACK_MAX_BYTES + 4) if above
+            else range(_ONE_PACK_MAX_BYTES - 2, _ONE_PACK_MAX_BYTES + 1))
+    rng = random.Random(_ONE_PACK_MAX_BYTES + above)
+    cases = 0
+    while cases < 12:
+        bits = rng.randint(20, 60)
+        factors = [({e: Fraction(rng.randint(-2**bits, 2**bits) or 1, rng.choice([1, 2, 9]))
+                     for e in rng.sample(range(-8, 9, rng.choice([1, 2])), rng.randint(1, 4))},
+                    rng.randint(1, 3))
+                   for _ in range(rng.randint(2, 4))]
+        if digit_width(factors) not in band:
+            continue
+        cases += 1
+        assert _power_product(factors, 3) == {
+            e: 3 * v for e, v in product_by_schoolbook(factors).items()}
 
 
 def test_power_product_of_laurent_factors_and_its_validation():

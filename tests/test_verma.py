@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+from math import factorial, prod
 
 import pytest
 
 from qheis.heisenberg import central_bracket
 from qheis.linalg import det
-from qheis.qscalar import ONE, ZERO, qint
+from qheis.qscalar import ONE, ZERO, power_product, qint
 from qheis.termalg import AlgebraElement, RelationTable, a_gen, reduce_element
 from qheis.verma import (
     EmptyComponent,
@@ -93,6 +94,40 @@ def vacuum_pairing_unfactored(module, u_exps, w_exps):
     return sum((c for (w, g), c in reduced.items() if not w), ZERO)
 
 
+def unpruned_basis_component(module, n):
+    """Reference enumeration: keep every prefix whose residual lies between
+    what the later indices can reach at most and at least, reachable or not."""
+    N, E = module.truncation.max_index, module.truncation.max_exponent
+    degs = [module.lowering_degree(i) for i in range(1, N + 1)]
+    lo = [0] * (N + 1)
+    hi = [0] * (N + 1)
+    for i in range(N - 1, -1, -1):
+        lo[i] = lo[i + 1] + min(0, E * degs[i])
+        hi[i] = hi[i + 1] + max(0, E * degs[i])
+    layer = [((), n)]
+    for idx, deg in enumerate(degs, start=1):
+        layer = [(vec + (e,), r - e * deg) for vec, r in layer for e in range(E + 1)
+                 if lo[idx] <= r - e * deg <= hi[idx]]
+    return [vec for vec, _ in layer]
+
+
+def block_det_by_enumeration(module, n):
+    """Reference route for a Gram determinant: enumerate the degree-n basis and
+    take each index's exponent sum and factorials from its column."""
+    count = 1
+    powers = []
+    for i, column in enumerate(zip(*module.basis_component(n)), start=1):
+        total = sum(column)
+        if not total:
+            continue
+        c = module._pairing_scalar(i)
+        if c.is_zero:
+            return ZERO
+        count *= module.phi(i) ** total * prod(map(factorial, column))
+        powers.append((c, total))
+    return power_product(powers, count)
+
+
 def test_phi_signature_parse_render_eval():
     assert PLUS.prefix == () and PLUS.period == (1,)
     assert MIXED.prefix == (1, -1) and MIXED.period == (1,)
@@ -142,6 +177,25 @@ def test_basis_component_of_a_long_truncation_does_not_recurse():
     m = build_module(PLUS, 1, Truncation(1500, 1))
     basis = m.basis_component(-3)
     assert [[i + 1 for i, e in enumerate(vec) if e] for vec in basis] == [[3], [1, 2]]
+
+
+def test_basis_component_of_a_long_truncation_lists_the_distinct_partitions():
+    # with E = 1 and phi = +, degree -n holds one vector per partition of n
+    # into distinct parts; only the first few of the 1500 indices can be used
+    m = build_module(PLUS, 1, Truncation(1500, 1))
+    for n, parts in enumerate([1, 1, 1, 2, 2, 3, 4, 5, 6]):
+        basis = m.basis_component(-n)
+        assert len(basis) == parts
+        assert all(sum(i + 1 for i, e in enumerate(vec) if e) == n for vec in basis)
+
+
+@pytest.mark.parametrize("phi", ["+", "-", "+-:+", "-:+", "-+:-"])
+def test_basis_component_equals_the_unpruned_enumeration(phi):
+    for n_max, e_max in itertools.product(range(1, 5), repeat=2):
+        m = build_module(PhiSignature.parse(phi), 1, Truncation(n_max, e_max))
+        reach = e_max * n_max * (n_max + 1) // 2
+        for n in range(-reach - 2, reach + 3):
+            assert m.basis_component(n) == unpruned_basis_component(m, n), (n_max, e_max, n)
 
 
 def test_basis_positive_degree_empty_for_constant_plus():
@@ -335,6 +389,28 @@ def test_gram_dets_equal_the_product_of_the_diagonal_pairings(phi, level):
             for u in m.basis_component(n):
                 diagonal = diagonal * m.vacuum_pairing(u, u)
             assert d == diagonal, (n_max, e_max, n)
+
+
+@pytest.mark.parametrize("phi", ["+", "-", "+-:+", "-:+", "-+:-", "++-:+-"])
+def test_gram_dets_from_the_counts_equal_the_enumerated_blocks(phi):
+    for level in range(-3, 4):
+        for n_max, e_max in itertools.product(range(1, 4), repeat=2):
+            m = build_module(PhiSignature.parse(phi), level, Truncation(n_max, e_max))
+            want = [(n, block_det_by_enumeration(m, n)) for n in range(-n_max, n_max + 1)
+                    if m.basis_component(n)]
+            assert list(m.irreducible_at_truncation().gram_dets) == want, (level, n_max, e_max)
+
+
+def test_irreducible_at_truncation_builds_no_basis(monkeypatch):
+    modules = [build_module(PhiSignature.parse(phi), level, Truncation(4, 3))
+               for phi, level in [("+", 2), ("+-:+", 0), ("++-:+-", -2), ("-+:-", 1)]]
+    before = [(m.irreducible_at_truncation(), m.report()) for m in modules]
+
+    def refuse(self, n):
+        raise AssertionError("the Gram blocks come from the degree counts")
+
+    monkeypatch.setattr(VermaModule, "basis_component", refuse)
+    assert [(m.irreducible_at_truncation(), m.report()) for m in modules] == before
 
 
 def test_unspecialized_gamma_is_rejected():
