@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 
@@ -116,10 +117,13 @@ def _root_closure(A):
     return seen
 
 
-def _positive_roots(A):
+@cache
+def _positive_roots(A: tuple) -> tuple:
+    # one closure per finite Cartan matrix (a tuple of tuples), shared by
+    # load_type and positive_roots
     pos = [r for r in _root_closure(A) if all(c >= 0 for c in r)]
     pos.sort(key=lambda r: (sum(r), r))
-    return pos
+    return tuple(pos)
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ def load_type(series: str, rank: int) -> CartanData:
     check = _RANK_OK.get(series)
     if check is None or not check(rank):
         raise InvalidType(f"unsupported untwisted type {series}_{rank}")
-    fin = _finite_gcm(series, rank)
+    fin = tuple(map(tuple, _finite_gcm(series, rank)))
     fd = _symmetrizers(fin)
     pos = _positive_roots(fin)
     theta = pos[-1]  # unique root of maximal height
@@ -195,4 +199,4 @@ def load_type(series: str, rank: int) -> CartanData:
 
 def positive_roots(cd: CartanData):
     """All finite positive roots, sorted by height then lexicographically."""
-    return [FiniteRoot(r) for r in _positive_roots([list(r) for r in cd.finite_gcm])]
+    return [FiniteRoot(r) for r in _positive_roots(cd.finite_gcm)]

@@ -220,6 +220,21 @@ def _cmd_loop_mult(args):
     return 0
 
 
+def _keeping_double_dash(parser):
+    """parser._get_values, except that --flag=-- keeps "--" as the value:
+    argparse in Python 3.11 strips it as if it ended the options, which leaves
+    an empty list in place of the value."""
+    get_values = parser._get_values
+
+    def values(action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:
+            value = parser._get_value(action, "--")
+            parser._check_value(action, value)
+            return value
+        return get_values(action, arg_strings)
+    return values
+
+
 @functools.cache
 def build_parser():
     """The parser of every subcommand, built once per process: parsing leaves
@@ -305,9 +320,11 @@ def build_parser():
     p.add_argument("--max-exp", type=integer, default=6)
     add_format(p)
 
-    # argparse binds a "number" after a flag as its value: let -:+ and -1:1 be numbers
+    # argparse binds a "number" after a flag as its value: let -:+ and -1:1 be
+    # numbers; and let --phi=-- mean the signature --
     for p in sub.choices.values():
         p._negative_number_matcher = re.compile(r"^-[-+:0-9]*$")
+        p._get_values = _keeping_double_dash(p)
     return parser
 
 

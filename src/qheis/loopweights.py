@@ -10,11 +10,11 @@ selected verdicts cite the analytic statements, not extrapolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .cartan import CartanData, positive_roots
-from .verma import (PhiSignature, Truncation, Verdict, _convolve, degree_counts,
-                    partition_count)
+from .verma import (PhiSignature, Truncation, Verdict, _factor_product, _lowering_degree,
+                    _multiply_in)
 
 __all__ = [
     "NotInSupport", "GradedDims", "MultiplicityReport", "support_contains",
@@ -150,9 +150,11 @@ def _mixed(phis) -> bool:
 
 @lru_cache(maxsize=None)
 def _mixed_series(phis: tuple, trunc: Truncation):
-    """The unwindowed product of the nodes' truncated degree counts.  Cached,
-    so callers only read it."""
-    return reduce(_convolve, (degree_counts(phi, trunc) for phi in phis))
+    """The unwindowed product of the nodes' truncated degree counts: every
+    index's factor of every node multiplied into one series.  Cached, so
+    callers only read it."""
+    degs = [_lowering_degree(phi, i) for phi in phis for i in range(1, trunc.max_index + 1)]
+    return _factor_product(degs, trunc.max_exponent)
 
 
 def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDims:
@@ -163,11 +165,15 @@ def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDi
         series, infinite = _mixed_series(phis, trunc), frozenset(range(lo, hi + 1))
     else:
         # every node constant with the same sign: all supports lie on one side,
-        # so partition series cut at the window's far end give it exactly
+        # and the series is prod_m (1 - x^(side*m))^(-rank) cut at the window's
+        # far end, where each factor equals its sum over e <= far // m
         side = -phis[0].constant_sign()
         far = hi if side > 0 else -lo
-        node = {side * t: partition_count(t) for t in range(far + 1)}
-        series, infinite = reduce(_convolve, [node] * len(phis)), frozenset()
+        coeffs = [1] + [0] * far  # coeffs[t] counts degree side * t
+        for m in range(1, far + 1):
+            for _ in phis:
+                _multiply_in(coeffs, m, far // m)
+        series, infinite = {side * t: c for t, c in enumerate(coeffs)}, frozenset()
     counts = {m: c for m, c in series.items() if lo <= m <= hi}
     return GradedDims(counts, infinite, (lo, hi))
 

@@ -130,25 +130,24 @@ class IrreducibilityReport:
     gram_dets: tuple
 
 
-@lru_cache(maxsize=None)
+_PARTITIONS = [1]
+
+
 def partition_count(n: int) -> int:
-    """Number of partitions of n (unbounded parts and multiplicities)."""
+    """Number of partitions of n (unbounded parts and multiplicities), by
+    Euler's pentagonal recurrence p(m) = sum_k (-1)^(k+1) (p(m - g_k) + p(m - g_k - k))
+    with g_k = k(3k-1)/2, on one table that grows on demand."""
     if n < 0:
         return 0
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for m in range(part, n + 1):
-            table[m] += table[m - part]
-    return table[n]
-
-
-def _convolve(a, b):
-    """The product of two {degree: count} series."""
-    out = {}
-    for m, c in a.items():
-        for n, d in b.items():
-            out[m + n] = out.get(m + n, 0) + c * d
-    return out
+    p = _PARTITIONS
+    for m in range(len(p), n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        p.append(total)
+    return p[n]
 
 
 def _lowering_degree(phi: PhiSignature, i: int) -> int:
@@ -156,22 +155,48 @@ def _lowering_degree(phi: PhiSignature, i: int) -> int:
     return -phi(i) * i
 
 
+def _multiply_in(coeffs, deg, E):
+    """Multiply the dense series coeffs (coeffs[j] counts degree lo + j) in place
+    by one index's factor sum_{e <= E} x^(e*deg), the inverse of _divide_out.
+    Terms that fall past the end of coeffs that deg points to are dropped.  The
+    factor is (1 - x^((E+1)*deg)) / (1 - x^deg): one pass multiplies by the
+    numerator, and one divides by the denominator from the other end."""
+    L, s = len(coeffs), (E + 1) * deg
+    if deg > 0:
+        if s < L:
+            coeffs[s:] = [x - y for x, y in zip(coeffs[s:], coeffs)]
+        for j in range(deg, L):
+            coeffs[j] += coeffs[j - deg]
+    else:
+        if -s < L:
+            coeffs[:s] = [x - y for x, y in zip(coeffs, coeffs[-s:])]
+        for j in range(L - 1 + deg, -1, -1):
+            coeffs[j] += coeffs[j - deg]
+
+
+def _factor_product(degs, E) -> dict:
+    """{degree: count}: the product over deg in degs of sum_{e <= E} x^(e*deg)."""
+    lo = sum(min(0, E * deg) for deg in degs)
+    coeffs = [0] * (sum(E * abs(deg) for deg in degs) + 1)
+    coeffs[-lo] = 1
+    for deg in degs:
+        _multiply_in(coeffs, deg, E)
+    return {lo + j: c for j, c in enumerate(coeffs) if c}
+
+
 @lru_cache(maxsize=None)
 def degree_counts(phi: PhiSignature, truncation: Truncation) -> dict:
-    """{degree: basis monomials}: the product over i of {e * deg_i: 1}, e <= E.
+    """{degree: basis monomials}: the product over i of sum_{e <= E} x^(e * deg_i).
     The level plays no part.  Cached, so callers only read it."""
-    counts = {0: 1}
-    for i in range(1, truncation.max_index + 1):
-        deg = _lowering_degree(phi, i)
-        counts = _convolve(counts, {e * deg: 1 for e in range(truncation.max_exponent + 1)})
-    return counts
+    degs = [_lowering_degree(phi, i) for i in range(1, truncation.max_index + 1)]
+    return _factor_product(degs, truncation.max_exponent)
 
 
 def _divide_out(counts, deg, E):
     """The {degree: count} series with one index's factor sum_{e <= E} x^(e*deg)
-    divided out.  That factor times 1 - x^deg is 1 - x^((E+1)*deg), so the
-    quotient Q has Q(n) = C(n) - C(n - deg) + Q(n - (E+1)*deg), read off from
-    the end of the series that deg points away from."""
+    divided out, the inverse of _multiply_in: the quotient Q has
+    Q(n) = C(n) - C(n - deg) + Q(n - (E+1)*deg), read off from the end of the
+    series that deg points away from."""
     lo, hi = min(counts), max(counts)
     out = {}
     for n in (range(lo, hi + 1) if deg > 0 else range(hi, lo - 1, -1)):

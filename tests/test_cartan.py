@@ -142,3 +142,28 @@ def test_to_json_shape():
     obj = load_type("C", 2).to_json()
     assert obj == {"series": "C", "rank": 2,
                    "gcm": KNOWN_AFFINE[("C", 2)], "d": [2, 1, 2]}
+
+
+def test_one_root_closure_per_finite_type(monkeypatch):
+    # load_type finds theta and positive_roots lists the roots from one closure
+    import qheis.cartan as cartan
+
+    closures = []
+    closure = cartan._root_closure
+    monkeypatch.setattr(cartan, "_root_closure", lambda A: closures.append(A) or closure(A))
+    cartan._positive_roots.cache_clear()
+    for _ in range(3):
+        for series, rank in KNOWN_ROOT_COUNTS:
+            assert len(positive_roots(load_type(series, rank))) == \
+                KNOWN_ROOT_COUNTS[series, rank]
+    assert len(closures) == len(set(closures)) == len(KNOWN_ROOT_COUNTS)
+
+
+def test_mutating_the_returned_roots_leaves_the_next_call_unchanged():
+    cd = load_type("B", 3)
+    roots = positive_roots(cd)
+    want = list(roots)
+    roots.reverse()
+    roots.append(roots[0])
+    assert positive_roots(cd) == want
+    assert positive_roots(cd) is not positive_roots(cd)

@@ -1,7 +1,6 @@
 import ast
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -13,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import load_benchmark_oracle
 
 import qheis.cartan as cartan
 import qheis.cli as cli
@@ -204,6 +204,20 @@ def test_verma_irred_sweep_is_pinned(capsys):
     # before the Gram determinants moved to one integer power product
     sweep = json.loads((GOLDEN / "verma_irred_sweep.json").read_text())
     assert len(sweep) == 60
+    for case in sweep:
+        code = run(case["argv"])
+        out = capsys.readouterr().out.encode()
+        assert (code, len(out), hashlib.sha256(out).hexdigest()) == (
+            case["exit"], case["bytes"], case["sha256"]), case["argv"]
+
+
+def test_counting_sweep_is_pinned(capsys):
+    # 72 verma-dims and loop-mult commands: five signatures, truncations up to
+    # 12x12, windows up to +-200 degrees, types of rank 1-4 with constant and
+    # mixed signatures, --k and --k-sweep.  Exit code, length and sha256 of
+    # stdout, pinned before the counts were built one geometric factor at a time
+    sweep = json.loads((GOLDEN / "counting_sweep.json").read_text())
+    assert len(sweep) == 72
     for case in sweep:
         code = run(case["argv"])
         out = capsys.readouterr().out.encode()
@@ -500,15 +514,7 @@ def test_run_fuzz_exits_with_a_contract_code(argv):
         assert run(argv) in (0, 1, 2)
 
 
-def _load_oracle():
-    path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "oracle.py"
-    spec = importlib.util.spec_from_file_location("qheis_bench_oracle", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-oracle = _load_oracle()
+oracle = load_benchmark_oracle()
 
 _SIGNS = st.text("+-", min_size=1, max_size=3)
 
@@ -524,6 +530,98 @@ def test_verma_irred_agrees_with_the_wick_oracle(phi, level, n_max, e_max):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = run(argv)
-    assert rc in (0, 2)
-    if rc == 0:
-        assert oracle.check(argv, rc, out.getvalue(), cartan) is None
+    assert rc == 0
+    assert oracle.check(argv, rc, out.getvalue(), cartan) is None
+
+
+def _checked_run(argv):
+    """Run argv with --format json; it must exit 0 and pass the benchmark's
+    independent check."""
+    argv = argv + ["--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = run(argv)
+    assert rc == 0, argv
+    assert oracle.check(argv, rc, out.getvalue(), cartan) is None, argv
+
+
+_PHIS = st.one_of(_SIGNS, st.tuples(_SIGNS, _SIGNS).map(":".join))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PHIS, st.integers(-3, 3), st.integers(1, 6), st.integers(1, 6),
+       st.none() | st.tuples(st.integers(-25, 25), st.integers(0, 25)))
+def test_verma_dims_agrees_with_the_oracle(phi, level, n_max, e_max, window):
+    # every count against a brute-force product of the index factors, the
+    # verdicts against the signature, and the partition numbers
+    argv = ["verma-dims", f"--phi={phi}", "--level", str(level), "--max-index", str(n_max),
+            "--max-exp", str(e_max)]
+    if window is not None:
+        lo, width = window
+        argv += ["--from-degree", str(lo), "--to-degree", str(lo + width)]
+    _checked_run(argv)
+
+
+_SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("C", 3), ("G", 2),
+                ("A", 4), ("D", 4)]
+
+
+@st.composite
+def _loop_mult_argv(draw):
+    series, rank = draw(st.sampled_from(_SMALL_TYPES))
+    beta = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank)
+                .filter(lambda b: sum(b) <= 3))
+    argv = ["loop-mult", "--type", series, "--rank", str(rank),
+            "--beta", ",".join(map(str, beta)), "--window", str(draw(st.integers(0, 2))),
+            "--max-index", str(draw(st.integers(1, 4))),
+            "--max-exp", str(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        dims = draw(st.dictionaries(st.integers(-4, 4).map(str), st.integers(0, 3),
+                                    min_size=1, max_size=4))
+        argv += ["--vdims", json.dumps(dims)]
+    else:
+        argv += [f"--phi={draw(_PHIS)}", "--level", str(draw(st.integers(-2, 2)))]
+    lo = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        return argv + [f"--k-sweep={lo}:{lo + draw(st.integers(0, 3))}"]
+    return argv + ["--k", str(lo)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_loop_mult_argv())
+def test_loop_mult_agrees_with_the_oracle(argv):
+    # every count against multisets of (root, shift) pairs enumerated one root
+    # multiset at a time, over an inducing module counted by brute force
+    _checked_run(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(s, r) for s, ranks in [("A", range(1, 8)), ("B", range(3, 7)),
+                                                 ("C", range(2, 7)), ("D", range(4, 7)),
+                                                 ("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))]
+                        for r in ranks]))
+def test_cartan_roots_agree_with_the_oracle(type_rank):
+    # symmetrizability, the number of positive roots and the reflection closure
+    series, rank = type_rank
+    _checked_run(["cartan", "--type", series, "--rank", str(rank), "--roots"])
+
+
+@pytest.mark.parametrize("cmd", [
+    ["verma-dims", "--level", "1", "--max-index", "4", "--max-exp", "3"],
+    ["verma-irred", "--level", "2", "--max-index", "3", "--max-exp", "2"],
+    ["loop-mult", "--type", "A", "--rank", "2", "--beta", "0,0", "--k-sweep=-2:2"],
+])
+def test_double_dash_is_a_signature_within_its_token(cmd, capsys):
+    # --phi=-- is the constant signature --: what :-- gives, with its period
+    # echoed as given, and otherwise what - gives
+    outs = {}
+    for phi in ["--", ":--", "-"]:
+        assert run(cmd + [f"--phi={phi}"]) == 0
+        outs[phi] = capsys.readouterr().out
+    assert outs["--"] == outs[":--"]
+    if cmd[0] == "loop-mult":
+        assert outs["--"] == outs["-"]
+    else:
+        assert outs["--"].replace('"period": "--"', '"period": "-"', 1) == outs["-"]
+    assert run(cmd[:1] + ["--p=--"] + cmd[1:]) == 0
+    assert capsys.readouterr().out == outs["--"]

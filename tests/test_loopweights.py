@@ -1,19 +1,22 @@
 import itertools
 from collections import Counter
+from functools import reduce
 
 import pytest
+from oracles import convolve
 
 from qheis.cartan import load_type, positive_roots
 from qheis.loopweights import (
     GradedDims,
     NotInSupport,
+    _mixed_series,
     _shift_series,
     phi_verma_graded_dims,
     phi_verma_weight_dim,
     support_contains,
     weight_multiplicity,
 )
-from qheis.verma import PhiSignature, Truncation, partition_count
+from qheis.verma import PhiSignature, Truncation, degree_counts, partition_count
 
 PLUS = PhiSignature.parse("+")
 MINUS = PhiSignature.parse("-")
@@ -242,6 +245,28 @@ def test_phi_verma_graded_dims_match_brute_force(rank, signs):
         assert [dims.dim(m)[0] for m in range(lo, hi + 1)] == \
             [brute[m] for m in range(lo, hi + 1)]
         assert dims.infinite == (frozenset() if _one_sign(phis) else frozenset(range(lo, hi + 1)))
+
+
+@pytest.mark.parametrize("signs", ["+-:+", "+,-", "-:+,-+:-", "+-:+,-,:+-", "+,+-:+,-,-:+"])
+def test_mixed_series_is_the_product_of_the_node_counts(signs):
+    phis = tuple(PhiSignature.parse(s) for s in signs.split(","))
+    for trunc in (Truncation(1, 1), Truncation(3, 2), Truncation(2, 4), Truncation(4, 3)):
+        assert _mixed_series(phis, trunc) == \
+            reduce(convolve, (degree_counts(phi, trunc) for phi in phis)), trunc
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_constant_series_equals_the_partition_convolution(rank, sign):
+    # the route it replaced: one partition series per node, cut at the
+    # window's far end, convolved rank times
+    phis = [PhiSignature.parse(sign)] * rank
+    side = 1 if sign == "-" else -1
+    for lo, hi in [(-20, 20), (-7, -2), (3, 9), (0, 0), (-1, 15), (-15, 1), (4, 2)]:
+        far = hi if side > 0 else -lo
+        node = {side * t: partition_count(t) for t in range(far + 1)}
+        want = {m: c for m, c in reduce(convolve, [node] * rank).items() if lo <= m <= hi}
+        assert phi_verma_graded_dims(phis, lo, hi, Truncation(2, 2)).counts == want, (lo, hi)
 
 
 def test_report_json_shape():

@@ -3,7 +3,11 @@ import itertools
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import convolve, load_benchmark_oracle, partition_table
 
+import qheis.verma as verma
 from qheis.heisenberg import central_bracket
 from qheis.linalg import det
 from qheis.qscalar import ONE, ZERO, power_product, qint
@@ -14,6 +18,8 @@ from qheis.verma import (
     Truncation,
     TruncationExceeded,
     VermaModule,
+    _divide_out,
+    _multiply_in,
     build_module,
     degree_counts,
     partition_count,
@@ -303,6 +309,60 @@ def test_graded_dims_match_brute_force():
 
 def test_partition_function_values():
     assert [partition_count(n) for n in range(10)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30]
+    assert partition_count(-1) == 0
+
+
+def test_pentagonal_partition_table_equals_the_part_by_part_table(monkeypatch):
+    # grown on demand from p(0) alone, out of order, against the table that
+    # adds one part size at a time
+    monkeypatch.setattr(verma, "_PARTITIONS", [1])
+    want = partition_table(500)
+    for n in (37, 500, 12, 499, 0):
+        assert partition_count(n) == want[n]
+    assert [partition_count(n) for n in range(501)] == want
+    assert len(verma._PARTITIONS) == 501
+
+
+# -- one geometric factor at a time, against the dense convolution -----------
+
+_SERIES = st.dictionaries(st.integers(-15, 15), st.integers(-4, 4).filter(bool),
+                          min_size=1, max_size=8)
+
+
+def _dense(counts, lo, hi):
+    return [counts.get(n, 0) for n in range(lo, hi + 1)]
+
+
+def _sparse(coeffs, lo):
+    return {lo + j: c for j, c in enumerate(coeffs) if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SERIES, st.integers(-6, 6).filter(bool), st.integers(0, 8))
+def test_multiplying_in_a_factor_equals_the_convolution(counts, deg, E):
+    want = {n: c for n, c in convolve(counts, {e * deg: 1 for e in range(E + 1)}).items() if c}
+    # with room for the whole product
+    lo, hi = min(counts) + min(0, E * deg), max(counts) + max(0, E * deg)
+    coeffs = _dense(counts, lo, hi)
+    _multiply_in(coeffs, deg, E)
+    product = _sparse(coeffs, lo)
+    assert product == want
+    assert _divide_out(product, deg, E) == counts
+    # with room for the degrees of counts only: what falls past the end is dropped
+    lo, hi = min(counts), max(counts)
+    coeffs = _dense(counts, lo, hi)
+    _multiply_in(coeffs, deg, E)
+    assert _sparse(coeffs, lo) == {n: c for n, c in want.items() if lo <= n <= hi}
+
+
+_bench_oracle = load_benchmark_oracle()
+
+
+@pytest.mark.parametrize("phi", ["+", "-", "+-:+", "-:+", "-+:-", "++-:+-"])
+def test_degree_counts_equal_the_benchmark_oracle(phi):
+    for n_max, e_max in itertools.product(range(1, 7), repeat=2):
+        assert degree_counts(PhiSignature.parse(phi), Truncation(n_max, e_max)) == \
+            _bench_oracle.degree_counts(phi, n_max, e_max), (n_max, e_max)
 
 
 def test_graded_dim_verdicts():
