@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cartan import CartanData, positive_roots
-from .verma import (PhiSignature, Truncation, Verdict, _factor_product, _lowering_degree,
-                    _multiply_in)
+from .verma import PhiSignature, Truncation, Verdict, _factor_product, _lowering_degree
 
 __all__ = [
     "NotInSupport", "GradedDims", "MultiplicityReport", "support_contains",
@@ -157,25 +156,40 @@ def _mixed_series(phis: tuple, trunc: Truncation):
     return _factor_product(degs, trunc.max_exponent)
 
 
+_DIVISOR_SUMS = [0]
+_CONSTANT_SERIES = {}
+
+
+def _constant_series(rank: int, far: int) -> list:
+    """[a(0), ..., a(far), ...]: the coefficients of prod_{m >= 1} (1 - x^m)^(-rank)
+    from t a(t) = rank * sum_{j=1..t} sigma(j) a(t - j), sigma the divisor sum,
+    on one table per rank that grows on demand.  No coefficient at t <= far
+    depends on where the product is cut, so every window shares the table."""
+    sigma = _DIVISOR_SUMS
+    for j in range(len(sigma), far + 1):
+        sigma.append(sum(d for d in range(1, j + 1) if j % d == 0))
+    a = _CONSTANT_SERIES.setdefault(rank, [1])
+    for t in range(len(a), far + 1):
+        a.append(rank * sum(sigma[j] * a[t - j] for j in range(1, t + 1)) // t)
+    return a
+
+
 def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDims:
     """Graded dimensions of the rank-many tensor factors picked out by the
     signatures, on the window [lo, hi].  They do not depend on the level."""
     phis = tuple(phis)
     if _mixed(phis):
-        series, infinite = _mixed_series(phis, trunc), frozenset(range(lo, hi + 1))
-    else:
-        # every node constant with the same sign: all supports lie on one side,
-        # and the series is prod_m (1 - x^(side*m))^(-rank) cut at the window's
-        # far end, where each factor equals its sum over e <= far // m
-        side = -phis[0].constant_sign()
-        far = hi if side > 0 else -lo
-        coeffs = [1] + [0] * far  # coeffs[t] counts degree side * t
-        for m in range(1, far + 1):
-            for _ in phis:
-                _multiply_in(coeffs, m, far // m)
-        series, infinite = {side * t: c for t, c in enumerate(coeffs)}, frozenset()
-    counts = {m: c for m, c in series.items() if lo <= m <= hi}
-    return GradedDims(counts, infinite, (lo, hi))
+        series = _mixed_series(phis, trunc)
+        counts = {m: c for m, c in series.items() if lo <= m <= hi}
+        return GradedDims(counts, frozenset(range(lo, hi + 1)), (lo, hi))
+    # every node constant with the same sign: all supports lie on one side,
+    # and the series is prod_m (1 - x^(side*m))^(-rank), read at side * t for
+    # t from the window's near end to its far end
+    side = -phis[0].constant_sign()
+    near, far = (lo, hi) if side > 0 else (-hi, -lo)
+    table = _constant_series(len(phis), far)
+    counts = {side * t: table[t] for t in range(max(near, 0), far + 1)}
+    return GradedDims(counts, frozenset(), (lo, hi))
 
 
 def phi_verma_weight_dim(cartan: CartanData, phis, beta, k: int, max_abs_k: int,

@@ -213,38 +213,51 @@ def _int_pseudo_rem(a, b):
 
 
 def _pgcd(a, b):
-    # monic gcd of two nonzero ordinary polynomials
+    # the primitive integer gcd, leading coefficient positive, of two nonzero
+    # ordinary polynomials; a constant operand has gcd 1
+    if max(a) == 0 or max(b) == 0:
+        return {0: 1}
     A = _int_primitive(a)
     B = _int_primitive(b)
     if max(A) < max(B):
         A, B = B, A
     while B:
         A, B = B, _int_pseudo_rem(A, B)
-    lead = Fraction(A[max(A)])
-    return {e: Fraction(c) / lead for e, c in A.items()}
+    if A[max(A)] < 0:
+        return _pneg(A)
+    return A
 
 
 def _pdiv_exact(num, den):
     # the quotient of ordinary polynomials (min exponent >= 0), den nonzero;
-    # a nonzero remainder is an error
-    num = dict(num)
+    # a nonzero remainder is an error.  Both are scaled to integers once; by
+    # Gauss's lemma an exact quotient by den's primitive part is integral, so
+    # the long division runs in integer divmod steps, and each quotient
+    # coefficient becomes a Fraction once, scaled by dd / (dn * content).
+    if not num:
+        return {}
+    dn, ints = _integer_coefficients(num)
+    dd, div = _integer_coefficients(den)
+    content = gcd(*div.values())
+    dtop = max(div)
+    lead = div[dtop] // content
+    tail = [(de - dtop, dc // content) for de, dc in div.items() if de != dtop]
+    rem = [0] * (max(ints) + 1)
+    for e, c in ints.items():
+        rem[e] = c
     quo = {}
-    dtop = max(den)
-    lead = den[dtop]
-    while num and max(num) >= dtop:
-        e = max(num)
-        c = num[e] / lead
-        quo[e - dtop] = c
-        for de, dc in den.items():
-            ne = e - dtop + de
-            v = num.get(ne, Fraction(0)) - c * dc
-            if v:
-                num[ne] = v
-            else:
-                num.pop(ne, None)
-    if num:
+    for e in range(len(rem) - 1, dtop - 1, -1):
+        if c := rem[e]:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            quo[e - dtop] = q
+            for off, dc in tail:
+                rem[e + off] -= q * dc
+    if any(rem[:dtop]):
         raise ArithmeticError("inexact polynomial division")
-    return quo
+    scale = dn * content
+    return {e: Fraction(q * dd, scale) for e, q in quo.items()}
 
 
 def _canonical(num, den):

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+from fractions import Fraction
 
 
 def convolve(a, b):
@@ -11,6 +12,41 @@ def convolve(a, b):
         for n, d in b.items():
             out[m + n] = out.get(m + n, 0) + c * d
     return out
+
+
+def pdiv_exact(num, den):
+    """The quotient of ordinary polynomials {exponent: Fraction} (min exponent
+    >= 0), den nonzero, by long division over Fraction; a nonzero remainder
+    raises ArithmeticError("inexact polynomial division")."""
+    num = dict(num)
+    quo = {}
+    dtop = max(den)
+    lead = den[dtop]
+    while num and max(num) >= dtop:
+        e = max(num)
+        c = num[e] / lead
+        quo[e - dtop] = c
+        for de, dc in den.items():
+            ne = e - dtop + de
+            v = num.get(ne, Fraction(0)) - c * dc
+            if v:
+                num[ne] = v
+            else:
+                num.pop(ne, None)
+    if num:
+        raise ArithmeticError("inexact polynomial division")
+    return quo
+
+
+def inverse_euler_cut(rank, far):
+    """[a(0), ..., a(far)] of prod_{m=1..far} (1 - x^m)^(-rank) cut at degree
+    far: rank geometric series per part size, each multiplied in densely."""
+    coeffs = [1] + [0] * far
+    for m in range(1, far + 1):
+        for _ in range(rank):
+            for t in range(m, far + 1):
+                coeffs[t] += coeffs[t - m]
+    return coeffs
 
 
 def partition_table(n):

@@ -606,6 +606,41 @@ def test_cartan_roots_agree_with_the_oracle(type_rank):
     _checked_run(["cartan", "--type", series, "--rank", str(rank), "--roots"])
 
 
+_VERIFY_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 3), ("C", 2), ("C", 3), ("G", 2)]
+_NONZERO_LEVELS = st.integers(-3, 3).filter(bool)
+
+
+def _verify_argv(draw, cmd, level):
+    series, rank = draw(st.sampled_from(_VERIFY_TYPES))
+    max_k = draw(st.integers(1, 3 if rank == 1 else 2))
+    argv = [cmd, "--type", series, "--rank", str(rank), "--max-k", str(max_k),
+            "--convention", draw(st.sampled_from(["paper", "drinfeld"]))]
+    return argv if level is None else argv + ["--level", str(level)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.none() | _NONZERO_LEVELS)
+def test_heis_verify_agrees_with_the_oracle(data, level):
+    # all 3*n^2*K^2 relations pass with residue 0, and one pairing equals
+    # C(s0)^-1 at s0 = 3/2, from the Cartan data alone
+    _checked_run(_verify_argv(data.draw, "heis-verify", level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), _NONZERO_LEVELS)
+def test_weyl_verify_agrees_with_the_oracle(data, level):
+    # the same check on both sides of each relation in the Weyl realization
+    _checked_run(_verify_argv(data.draw, "weyl-verify", level))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-8, 8), st.none() | st.integers(1, 4), st.booleans())
+def test_qnum_agrees_with_the_oracle(n, d, at_q1):
+    # [n] in base q^d at s0 = 3/2 against (q^dn - q^-dn) / (q^d - q^-d), or n at q = 1
+    argv = ["qnum", "--n", str(n)] + ([] if d is None else ["--d", str(d)])
+    _checked_run(argv + (["--at-q1"] if at_q1 else []))
+
+
 @pytest.mark.parametrize("cmd", [
     ["verma-dims", "--level", "1", "--max-index", "4", "--max-exp", "3"],
     ["verma-irred", "--level", "2", "--max-index", "3", "--max-exp", "2"],

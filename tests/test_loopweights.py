@@ -3,8 +3,9 @@ from collections import Counter
 from functools import reduce
 
 import pytest
-from oracles import convolve
+from oracles import convolve, inverse_euler_cut
 
+import qheis.loopweights as loopweights
 from qheis.cartan import load_type, positive_roots
 from qheis.loopweights import (
     GradedDims,
@@ -267,6 +268,24 @@ def test_constant_series_equals_the_partition_convolution(rank, sign):
         node = {side * t: partition_count(t) for t in range(far + 1)}
         want = {m: c for m, c in reduce(convolve, [node] * rank).items() if lo <= m <= hi}
         assert phi_verma_graded_dims(phis, lo, hi, Truncation(2, 2)).counts == want, (lo, hi)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_constant_series_table_equals_the_product_cut_at_each_window(rank, monkeypatch):
+    # one table per rank, grown from empty by windows that move out, back in
+    # and out again, against the product cut afresh at each window's far end
+    monkeypatch.setattr(loopweights, "_CONSTANT_SERIES", {})
+    windows = [(k - 10, k + 10) for k in range(-70, 71, 7)] + [(0, 0), (4, 2), (-80, 80)]
+    for sign, side in (("-", 1), ("+", -1)):
+        phis = [PhiSignature.parse(sign)] * rank
+        for lo, hi in windows:
+            far = hi if side > 0 else -lo
+            cut = inverse_euler_cut(rank, max(far, 0))
+            want = {side * t: c for t, c in enumerate(cut) if lo <= side * t <= hi}
+            counts = phi_verma_graded_dims(phis, lo, hi, Truncation(2, 2)).counts
+            assert counts == want, (sign, lo, hi)
+            if rank == 1:
+                assert all(c == partition_count(side * m) for m, c in counts.items())
 
 
 def test_report_json_shape():

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import pdiv_exact
 
+import qheis.qscalar as qscalar
 from qheis.qscalar import (
     _KRONECKER_MIN_PAIRS,
     _ONE_PACK_MAX_BYTES,
@@ -16,6 +19,8 @@ from qheis.qscalar import (
     UndefinedFactorial,
     _digit_bytes,
     _integer_coefficients,
+    _pdiv_exact,
+    _pgcd,
     _pmul,
     _pmul_schoolbook,
     _poly_str,
@@ -367,12 +372,80 @@ def test_non_integer_exponents_rejected(build):
 
 
 def test_inexact_polynomial_division_is_an_explicit_error():
-    from qheis.qscalar import _pdiv_exact
-
     x = {1: Fraction(1)}
     assert _pdiv_exact({2: Fraction(1), 1: Fraction(1)}, x) == {1: Fraction(1), 0: Fraction(1)}
     with pytest.raises(ArithmeticError, match="inexact"):
         _pdiv_exact(x, {1: Fraction(1), 0: Fraction(1)})
+    # x^2 over 2x + 1 leaves nothing below degree 1 in integers: only the
+    # first step's remainder shows the division inexact
+    with pytest.raises(ArithmeticError, match="inexact"):
+        _pdiv_exact({2: Fraction(1)}, {1: Fraction(2), 0: Fraction(1)})
+
+
+# -- integer cancellation against the Fraction long division -----------------
+
+_SMALL = st.integers(-9, 9).map(Fraction) | st.fractions(-9, 9, max_denominator=12)
+# scales that make a divisor non-primitive, flip its leading sign, or both
+_CONTENTS = st.sampled_from([1, -1, 6, -4, Fraction(1, 3), Fraction(-10, 21)])
+
+
+def ordinary_polys(max_degree=5):
+    polys = st.dictionaries(st.integers(0, max_degree), _SMALL, min_size=1,
+                            max_size=max_degree + 1)
+    return polys.map(lambda p: {e: c for e, c in p.items() if c} or {0: Fraction(1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordinary_polys(), ordinary_polys(), _CONTENTS)
+def test_integer_division_equals_the_fraction_oracle(g, q, content):
+    g = {e: c * content for e, c in g.items()}
+    num = poly_mul(g, q)
+    quo = _pdiv_exact(num, g)
+    assert quo == pdiv_exact(num, g) == q
+    assert all(type(c) is Fraction for c in quo.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ordinary_polys(), ordinary_polys(), ordinary_polys(), _SMALL.filter(bool),
+       st.integers(1, 3), _CONTENTS)
+def test_a_non_multiple_raises_in_both_routes(g, q, r, lead, gap, content):
+    # num = g*q + r with r nonzero of degree below g's
+    g = {e: c for e, c in g.items() if e <= max(r)}
+    g[max(r) + gap] = lead
+    g = {e: c * content for e, c in g.items()}
+    num = poly_mul(g, q)
+    for e, c in r.items():
+        num[e] = num.get(e, Fraction(0)) + c
+    num = {e: c for e, c in num.items() if c}
+    for divide in (_pdiv_exact, pdiv_exact):
+        with pytest.raises(ArithmeticError, match="inexact polynomial division"):
+            divide(num, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ordinary_polys(), ordinary_polys(), ordinary_polys(3), st.booleans())
+def test_gcd_is_primitive_and_divides_both_operands(a, b, common, plant):
+    if plant:
+        a, b = poly_mul(a, common), poly_mul(b, common)
+    g = _pgcd(a, b)
+    assert all(type(c) is int for c in g.values())
+    assert gcd(*g.values()) == 1 and g[max(g)] > 0
+    for p in (a, b):
+        assert _pdiv_exact(p, g) == pdiv_exact(p, g)
+    assert max(g) == poly_gcd_degree(a, b)
+
+
+def test_a_constant_operand_skips_the_remainder_sequence(monkeypatch):
+    calls = []
+    step = qscalar._int_pseudo_rem
+    monkeypatch.setattr(qscalar, "_int_pseudo_rem", lambda a, b: calls.append(1) or step(a, b))
+    x = {1: Fraction(1), 0: Fraction(-2, 3)}
+    for a, b in [({0: Fraction(5, 7)}, x), (x, {0: Fraction(-3)}),
+                 ({0: Fraction(1)}, {0: Fraction(2)})]:
+        assert _pgcd(a, b) == {0: 1}
+    assert calls == []
+    assert _pgcd(poly_mul(x, x), {2: Fraction(-6), 1: Fraction(4)}) == {1: 3, 0: -2}
+    assert calls
 
 
 # -- the Kronecker-substitution product against the schoolbook loop -----------
