@@ -2,10 +2,11 @@
 
 The affine matrix is assembled uniformly: the finite Cartan matrix of the
 given series, the finite positive roots by reflection closure, and the
-extra node attached through the highest root.  Symmetrizers are computed
-from the matrix itself (they are determined up to the coprimality
-normalization), so no per-type tables are hard-coded; known tables serve
-only as test oracles.
+extra node attached through the highest root in closed form.  The finite
+symmetrizers are computed from the matrix itself (they are determined up
+to the coprimality normalization) and the extra node takes the highest
+root's, so no per-type tables are hard-coded; known tables serve only as
+test oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 
 class InvalidType(ValueError):
@@ -88,13 +89,9 @@ def _symmetrizers(A):
                 todo.append(j)
     if any(x is None for x in d):
         raise InvalidType("disconnected diagram")
-    denom_lcm = 1
-    for x in d:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in d]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    scale = lcm(*(x.denominator for x in d))
+    ints = [int(x * scale) for x in d]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 
@@ -168,26 +165,13 @@ def load_type(series: str, rank: int) -> CartanData:
         raise InvalidType(f"unsupported untwisted type {series}_{rank}")
     fin = tuple(map(tuple, _finite_gcm(series, rank)))
     fd = _symmetrizers(fin)
-    pos = _positive_roots(fin)
-    theta = pos[-1]  # unique root of maximal height
-
-    def pair(root, j):
-        # (root | alpha_{j+1}) with 0-based j
-        return sum(root[c] * fd[c] * fin[c][j] for c in range(rank))
-
-    tp = [pair(theta, j) for j in range(rank)]
-    tsq = sum(theta[j] * tp[j] for j in range(rank))
-    row0 = [2]
-    col0 = []
-    for j in range(rank):
-        a0j = Fraction(-2 * tp[j], tsq)
-        aj0 = Fraction(-tp[j], fd[j])
-        if a0j.denominator != 1 or aj0.denominator != 1:
-            raise InvalidType(f"non-integral affine node entries for {series}_{rank}")
-        row0.append(int(a0j))
-        col0.append(int(aj0))
+    theta = _positive_roots(fin)[-1]  # unique root of maximal height, a long root
+    # node 0 is alpha_0 = delta - theta: a_j0 = -(A theta)_j, d_0 = d(theta) =
+    # max(d), and a_0j = d_j a_j0 / d_0 from the symmetry of d_i a_ij
+    col0 = [-sum(a * t for a, t in zip(fin[j], theta)) for j in range(rank)]
+    d = (max(fd),) + fd
+    row0 = [2] + [fd[j] * col0[j] // d[0] for j in range(rank)]
     gcm = [row0] + [[col0[j]] + list(fin[j]) for j in range(rank)]
-    d = _symmetrizers(gcm)
     nodes = range(rank + 1)
     if not all(gcm[i][i] == 2 for i in nodes) or not all(
             d[i] * gcm[i][j] == d[j] * gcm[j][i]

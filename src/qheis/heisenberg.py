@@ -140,7 +140,7 @@ def relation_table(alg: HeisenbergAlgebra) -> RelationTable:
         c = structure_constant(alg, b.node, a.node, b.degree)
         return {g: -(c * v) for g, v in gamma_bracket(b.degree, alg.level).items()}
 
-    return RelationTable("loop", generator_key, comm)
+    return RelationTable(generator_key, comm)
 
 
 def oscillator_table(level: int | None = None) -> RelationTable:
@@ -166,7 +166,7 @@ def oscillator_table(level: int | None = None) -> RelationTable:
             return {}
         return {}
 
-    return RelationTable("oscillator", generator_key, comm)
+    return RelationTable(generator_key, comm)
 
 
 @dataclass(frozen=True)
@@ -273,4 +273,4 @@ def single_heisenberg_table(level: int | None = None) -> RelationTable:
             return {}
         return central_bracket(a.degree, level)
 
-    return RelationTable("single", generator_key, comm)
+    return RelationTable(generator_key, comm)

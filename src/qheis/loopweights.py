@@ -9,7 +9,7 @@ selected verdicts cite the analytic statements, not extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .cartan import CartanData, positive_roots
@@ -147,15 +147,6 @@ def _mixed(phis) -> bool:
                 and len({phi.constant_sign() for phi in phis}) == 1)
 
 
-@lru_cache(maxsize=None)
-def _mixed_series(phis: tuple, trunc: Truncation):
-    """The unwindowed product of the nodes' truncated degree counts: every
-    index's factor of every node multiplied into one series.  Cached, so
-    callers only read it."""
-    degs = [_lowering_degree(phi, i) for phi in phis for i in range(1, trunc.max_index + 1)]
-    return _factor_product(degs, trunc.max_exponent)
-
-
 _DIVISOR_SUMS = [0]
 _CONSTANT_SERIES = {}
 
@@ -179,7 +170,10 @@ def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDi
     signatures, on the window [lo, hi].  They do not depend on the level."""
     phis = tuple(phis)
     if _mixed(phis):
-        series = _mixed_series(phis, trunc)
+        # every index's factor of every node multiplied into one series
+        degs = tuple(_lowering_degree(phi, i) for phi in phis
+                     for i in range(1, trunc.max_index + 1))
+        series = _factor_product(degs, trunc.max_exponent)
         counts = {m: c for m, c in series.items() if lo <= m <= hi}
         return GradedDims(counts, frozenset(range(lo, hi + 1)), (lo, hi))
     # every node constant with the same sign: all supports lie on one side,
@@ -197,14 +191,10 @@ def phi_verma_weight_dim(cartan: CartanData, phis, beta, k: int, max_abs_k: int,
     """Weight-space report for the module induced from a signature-picked
     inducing module: infinite for any non-constant signature and for any
     nonzero finite part; exact partition-convolution counts otherwise."""
-    beta = tuple(beta)
-    if not support_contains(beta):
-        raise NotInSupport(f"finite part {beta} is not a nonnegative root combination")
     phis = _broadcast_phis(phis, cartan.rank)
     reach = max_abs_k * max(sum(beta), 1)
     vdims = phi_verma_graded_dims(phis, k - reach, k + reach, trunc)
     report = weight_multiplicity(cartan, beta, k, vdims, max_abs_k)
-    if _mixed(phis) or beta != tuple([0] * len(beta)):
-        report = MultiplicityReport(report.beta, report.k, report.truncated_count,
-                                    Verdict("INFINITE"), report.max_abs_k)
+    if _mixed(phis) or any(report.beta):
+        report = replace(report, verdict=Verdict("INFINITE"))
     return report

@@ -191,25 +191,35 @@ def _int_primitive(p):
     return {e: c // content for e, c in ints.items()}
 
 
+def _int_divmod(num, div):
+    # (quotient, remainder) of integer polynomials (min exponent >= 0) by dense
+    # long division, with deg remainder < deg div; every step must divide by
+    # div's leading coefficient exactly, else "inexact polynomial division"
+    dtop = max(div)
+    lead = div[dtop]
+    tail = [(de - dtop, dc) for de, dc in div.items() if de != dtop]
+    rem = [0] * (max(num) + 1)
+    for e, c in num.items():
+        rem[e] = c
+    quo = {}
+    for e in range(len(rem) - 1, dtop - 1, -1):
+        if c := rem[e]:
+            q, r = divmod(c, lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            quo[e - dtop] = q
+            for off, dc in tail:
+                rem[e + off] -= q * dc
+    return quo, {e: c for e, c in enumerate(rem[:dtop]) if c}
+
+
 def _int_pseudo_rem(a, b):
-    # primitive pseudo-remainder sequence step over the integers
-    dtop = max(b)
-    lead = b[dtop]
-    r = dict(a)
-    while r and max(r) >= dtop:
-        e = max(r)
-        c = r[e]
-        new = {ee: cc * lead for ee, cc in r.items()}
-        for de, dc in b.items():
-            ne = e - dtop + de
-            v = new.get(ne, 0) - c * dc
-            if v:
-                new[ne] = v
-            else:
-                new.pop(ne, None)
-        content = gcd(*new.values())
-        r = {ee: cc // content for ee, cc in new.items()} if content else {}
-    return r
+    # primitive part of the pseudo-remainder: lead(b)^(deg a - deg b + 1) * a
+    # divided by b, which every step divides exactly (Knuth, TAOCP 4.6.1)
+    scale = b[max(b)] ** (max(a) - max(b) + 1)
+    r = _int_divmod({e: c * scale for e, c in a.items()}, b)[1]
+    content = gcd(*r.values())
+    return {e: c // content for e, c in r.items()}
 
 
 def _pgcd(a, b):
@@ -231,30 +241,16 @@ def _pgcd(a, b):
 def _pdiv_exact(num, den):
     # the quotient of ordinary polynomials (min exponent >= 0), den nonzero;
     # a nonzero remainder is an error.  Both are scaled to integers once; by
-    # Gauss's lemma an exact quotient by den's primitive part is integral, so
-    # the long division runs in integer divmod steps, and each quotient
-    # coefficient becomes a Fraction once, scaled by dd / (dn * content).
+    # Gauss's lemma an exact quotient by den's primitive part is integral, and
+    # each quotient coefficient becomes a Fraction once, scaled by
+    # dd / (dn * content).
     if not num:
         return {}
     dn, ints = _integer_coefficients(num)
     dd, div = _integer_coefficients(den)
     content = gcd(*div.values())
-    dtop = max(div)
-    lead = div[dtop] // content
-    tail = [(de - dtop, dc // content) for de, dc in div.items() if de != dtop]
-    rem = [0] * (max(ints) + 1)
-    for e, c in ints.items():
-        rem[e] = c
-    quo = {}
-    for e in range(len(rem) - 1, dtop - 1, -1):
-        if c := rem[e]:
-            q, r = divmod(c, lead)
-            if r:
-                raise ArithmeticError("inexact polynomial division")
-            quo[e - dtop] = q
-            for off, dc in tail:
-                rem[e + off] -= q * dc
-    if any(rem[:dtop]):
+    quo, rem = _int_divmod(ints, {e: c // content for e, c in div.items()})
+    if rem:
         raise ArithmeticError("inexact polynomial division")
     scale = dn * content
     return {e: Fraction(q * dd, scale) for e, q in quo.items()}

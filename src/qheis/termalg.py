@@ -92,7 +92,6 @@ class RelationTable:
     order: a word is normal iff its keys are nondecreasing.
     """
 
-    name: str
     sort_key: Callable
     central_commutator: Callable
 

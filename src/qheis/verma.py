@@ -174,8 +174,11 @@ def _multiply_in(coeffs, deg, E):
             coeffs[j] += coeffs[j - deg]
 
 
-def _factor_product(degs, E) -> dict:
-    """{degree: count}: the product over deg in degs of sum_{e <= E} x^(e*deg)."""
+@lru_cache(maxsize=None)
+def _factor_product(degs: tuple, E: int) -> dict:
+    """{degree: count}: the product over deg in degs of sum_{e <= E} x^(e*deg).
+    Cached on the degrees, so one module's counts serve every spelling of its
+    signature and every caller only reads them."""
     lo = sum(min(0, E * deg) for deg in degs)
     coeffs = [0] * (sum(E * abs(deg) for deg in degs) + 1)
     coeffs[-lo] = 1
@@ -184,11 +187,11 @@ def _factor_product(degs, E) -> dict:
     return {lo + j: c for j, c in enumerate(coeffs) if c}
 
 
-@lru_cache(maxsize=None)
 def degree_counts(phi: PhiSignature, truncation: Truncation) -> dict:
     """{degree: basis monomials}: the product over i of sum_{e <= E} x^(e * deg_i).
-    The level plays no part.  Cached, so callers only read it."""
-    degs = [_lowering_degree(phi, i) for i in range(1, truncation.max_index + 1)]
+    The level plays no part.  Shared through _factor_product's cache, so
+    callers only read it."""
+    degs = tuple(_lowering_degree(phi, i) for i in range(1, truncation.max_index + 1))
     return _factor_product(degs, truncation.max_exponent)
 
 

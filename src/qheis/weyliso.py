@@ -63,7 +63,7 @@ def weyl_relation_table() -> RelationTable:
             return {0: ONE}
         return {0: -ONE}
 
-    return RelationTable("weyl", generator_key, comm)
+    return RelationTable(generator_key, comm)
 
 
 def to_weyl(x: AlgebraElement, level: int) -> AlgebraElement:

@@ -1,0 +1,159 @@
+"""Replayable mutants: deliberate faults in src/qheis and the tests that catch them.
+
+    python tests/mutants.py
+
+Every entry is (file under src/qheis, exact old text, new text, test node ids).
+The named tests of every entry must first pass on an unmutated copy of src/.
+Then, for each entry, src/ is copied to a temporary directory, the old text,
+which must occur exactly once, is replaced by the new text, and the entry's
+tests run against that copy in one `pytest -x -q` process; the mutant is
+killed when that run does not pass (a test fails, or the test module no
+longer imports).  The script names every mutant that survives or whose old
+text no longer matches, and then exits 1.
+pytest does not collect this file.  A change that rewrites guarded code
+re-anchors its entries here and adds its own.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKERS = 2
+
+QSCALAR = "tests/test_qscalar.py::"
+VERMA = "tests/test_verma.py::"
+LOOP = "tests/test_loopweights.py::"
+CARTAN = "tests/test_cartan.py::"
+
+MUTANTS = [
+    # Gram determinants read off the degree counts: E_i off by one in e, and the
+    # numerator shift (E + 1) * deg of the divided-out factor
+    ("verma.py", "total = sum(e * m for e, m in enumerate(with_e))",
+     "total = sum((e + 1) * m for e, m in enumerate(with_e))",
+     [VERMA + "test_gram_dets_from_the_counts_equal_the_enumerated_blocks"]),
+    ("verma.py", "out.get(n - (E + 1) * deg, 0)", "out.get(n - E * deg, 0)",
+     [VERMA + "test_gram_dets_from_the_counts_equal_the_enumerated_blocks"]),
+    # one digit byte short in the one-pack and in the chained Kronecker product
+    ("qscalar.py", "out = _kronecker(ints, nbytes)", "out = _kronecker(ints, nbytes - 1)",
+     [QSCALAR + "test_power_product_of_monomials_at_the_width_bound",
+      QSCALAR + "test_power_product_on_both_sides_of_the_width_limit"]),
+    ("qscalar.py", "q = _kronecker(pair, _digit_bytes(pair))",
+     "q = _kronecker(pair, _digit_bytes(pair) - 1)",
+     [QSCALAR + "test_power_product_of_monomials_at_the_width_bound",
+      QSCALAR + "test_power_product_on_both_sides_of_the_width_limit"]),
+    # one geometric factor in place: the numerator shift and the backward pass
+    ("verma.py", "L, s = len(coeffs), (E + 1) * deg", "L, s = len(coeffs), E * deg",
+     [VERMA + "test_multiplying_in_a_factor_equals_the_convolution"]),
+    ("verma.py", "for j in range(deg, L):", "for j in range(deg + 1, L):",
+     [VERMA + "test_multiplying_in_a_factor_equals_the_convolution"]),
+    ("verma.py", "total += term if k % 2 else -term", "total += -term if k % 2 else term",
+     [VERMA + "test_pentagonal_partition_table_equals_the_part_by_part_table"]),
+    # graded counts: one degree short, the mixed branch over its first node
+    # only, and the shared cache gone
+    ("verma.py", "for i in range(1, truncation.max_index + 1))",
+     "for i in range(1, truncation.max_index))",
+     [VERMA + "test_degree_counts_equal_the_benchmark_oracle"]),
+    ("loopweights.py", "degs = tuple(_lowering_degree(phi, i) for phi in phis\n",
+     "degs = tuple(_lowering_degree(phi, i) for phi in phis[:1]\n",
+     [LOOP + "test_mixed_series_is_the_product_of_the_node_counts"]),
+    ("verma.py", "@lru_cache(maxsize=None)\ndef _factor_product", "def _factor_product",
+     [VERMA + "test_one_signature_spelled_two_ways_shares_one_count_table"]),
+    # the constant-sign series: sigma without j itself, the rank dropped from
+    # the recurrence, and the window read one short
+    ("loopweights.py", "for d in range(1, j + 1) if j % d == 0", "for d in range(1, j) if j % d == 0",
+     [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
+    ("loopweights.py", "a.append(rank * sum(", "a.append(sum(",
+     [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
+    ("loopweights.py", "for t in range(max(near, 0), far + 1)}", "for t in range(max(near, 0), far)}",
+     [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
+    ("loopweights.py", "if _mixed(phis) or any(report.beta):", "if _mixed(phis):",
+     [LOOP + "test_phi_verma_nonzero_beta_infinite"]),
+    # root systems: one closure per type, and the highest root
+    ("cartan.py", "@cache\ndef _positive_roots", "def _positive_roots",
+     [CARTAN + "test_one_root_closure_per_finite_type"]),
+    ("cartan.py", "return tuple(pos)\n", "return tuple(pos[:-1])\n",
+     [CARTAN + "test_positive_root_counts"]),
+    # the affine node in closed form
+    ("cartan.py", "fd[j] * col0[j] // d[0]", "fd[j] * col0[j] // 1",
+     [CARTAN + "test_every_supported_type_of_rank_at_most_8_is_pinned"]),
+    # integer cancellation: dn and dd swapped, the content dropped from the
+    # scale, the leftover and the step remainder ignored
+    ("qscalar.py", "Fraction(q * dd, scale)", "Fraction(q * dn, dd * content)",
+     [QSCALAR + "test_integer_division_equals_the_fraction_oracle"]),
+    ("qscalar.py", "scale = dn * content", "scale = dn",
+     [QSCALAR + "test_integer_division_equals_the_fraction_oracle"]),
+    ("qscalar.py", "    if rem:\n        raise", "    if False:\n        raise",
+     [QSCALAR + "test_a_non_multiple_raises_in_both_routes"]),
+    ("qscalar.py", "            if r:\n                raise", "            if False:\n                raise",
+     [QSCALAR + "test_inexact_polynomial_division_is_an_explicit_error"]),
+    # the primitive gcd: the pseudo-remainder exponent, its content, the sign
+    # of the gcd and the constant shortcut
+    ("qscalar.py", "(max(a) - max(b) + 1)", "(max(a) - max(b))",
+     [QSCALAR + "test_pseudo_remainder_equals_the_step_by_step_oracle"]),
+    ("qscalar.py", "return {e: c // content for e, c in r.items()}", "return r",
+     [QSCALAR + "test_pseudo_remainder_equals_the_step_by_step_oracle"]),
+    ("qscalar.py", "    if A[max(A)] < 0:\n        return _pneg(A)\n", "",
+     [QSCALAR + "test_gcd_is_primitive_and_divides_both_operands"]),
+    ("qscalar.py", "    if max(a) == 0 or max(b) == 0:\n        return {0: 1}\n", "",
+     [QSCALAR + "test_a_constant_operand_skips_the_remainder_sequence"]),
+    # --flag=-- keeps "--" as its value
+    ("cli.py", 'if action.option_strings and arg_strings == ["--"]:', "if False:",
+     ["tests/test_cli.py::test_double_dash_is_a_signature_within_its_token"]),
+]
+
+
+def _copy_src(tmp):
+    src = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _pytest(src, tests, cwd):
+    # the copy is the code imported: PYTHONPATH names it and the ini setting
+    # pythonpath = ["src"] is switched off; the run writes only under cwd
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "-o", "pythonpath=", *(str(ROOT / t) for t in tests)]
+    return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _replay(entry):
+    path, old, new, tests = entry
+    with tempfile.TemporaryDirectory() as tmp:
+        src = _copy_src(tmp)
+        target = src / "qheis" / path
+        text = target.read_text()
+        if text.count(old) != 1:
+            return f"old text matches {text.count(old)} times"
+        target.write_text(text.replace(old, new))
+        # the unmutated run has checked every node id, so any exit but 0
+        # comes from the edit
+        return None if _pytest(src, tests, tmp).returncode else "survived"
+
+
+def main():
+    tests = sorted({t for *_, named in MUTANTS for t in named})
+    with tempfile.TemporaryDirectory() as tmp:
+        run = _pytest(_copy_src(tmp), tests, tmp)
+        if run.returncode:
+            print(run.stdout[-3000:])
+            print("the unmutated copy fails the named tests")
+            return 1
+    with ThreadPoolExecutor(WORKERS) as pool:
+        verdicts = list(pool.map(_replay, MUTANTS))
+    bad = 0
+    for (path, old, new, _), verdict in zip(MUTANTS, verdicts):
+        if verdict:
+            bad += 1
+            print(f"{verdict}: {path}: {old.strip()!r} -> {new.strip()!r}")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,6 +3,7 @@
 import importlib.util
 import pathlib
 from fractions import Fraction
+from math import gcd
 
 
 def convolve(a, b):
@@ -36,6 +37,29 @@ def pdiv_exact(num, den):
     if num:
         raise ArithmeticError("inexact polynomial division")
     return quo
+
+
+def pseudo_rem(a, b):
+    """The primitive pseudo-remainder of integer polynomials {exponent: int},
+    one step at a time: multiply the running remainder by b's leading
+    coefficient, cancel its top term, and strip the content after every step."""
+    dtop = max(b)
+    lead = b[dtop]
+    r = dict(a)
+    while r and max(r) >= dtop:
+        e = max(r)
+        c = r[e]
+        new = {ee: cc * lead for ee, cc in r.items()}
+        for de, dc in b.items():
+            ne = e - dtop + de
+            v = new.get(ne, 0) - c * dc
+            if v:
+                new[ne] = v
+            else:
+                new.pop(ne, None)
+        content = gcd(*new.values())
+        r = {ee: cc // content for ee, cc in new.items()} if content else {}
+    return r
 
 
 def inverse_euler_cut(rank, far):

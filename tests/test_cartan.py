@@ -167,3 +167,19 @@ def test_mutating_the_returned_roots_leaves_the_next_call_unchanged():
     roots.append(roots[0])
     assert positive_roots(cd) == want
     assert positive_roots(cd) is not positive_roots(cd)
+
+
+def test_every_supported_type_of_rank_at_most_8_is_pinned(capsys):
+    # `cartan --type T --rank r` for the 31 supported (T, r <= 8), pinned before
+    # the affine node was built in closed form from the highest root
+    import json
+    import pathlib
+
+    from qheis.cli import run
+
+    golden = pathlib.Path(__file__).parent / "golden" / "cartan_types.json"
+    cases = json.loads(golden.read_text())
+    assert len(cases) == 31
+    for case in cases:
+        code = run(case["argv"])
+        assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"]), case["argv"]

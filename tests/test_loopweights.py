@@ -10,7 +10,6 @@ from qheis.cartan import load_type, positive_roots
 from qheis.loopweights import (
     GradedDims,
     NotInSupport,
-    _mixed_series,
     _shift_series,
     phi_verma_graded_dims,
     phi_verma_weight_dim,
@@ -204,6 +203,9 @@ def test_phi_verma_nonzero_beta_infinite():
     rep = phi_verma_weight_dim(cd, PLUS, (1,), 0, 3, Truncation(4, 4))
     assert rep.verdict.kind == "INFINITE"
     assert rep.truncated_count == sum(partition_count(m) for m in range(4))  # shifts 0..-3 reachable
+    # no inducing component inside the window: still infinite, with count 0
+    far = phi_verma_weight_dim(cd, PLUS, (1,), 10, 1, Truncation(4, 4))
+    assert (far.verdict.kind, far.truncated_count) == ("INFINITE", 0)
 
 
 def test_phi_verma_rank_two_convolution():
@@ -252,8 +254,10 @@ def test_phi_verma_graded_dims_match_brute_force(rank, signs):
 def test_mixed_series_is_the_product_of_the_node_counts(signs):
     phis = tuple(PhiSignature.parse(s) for s in signs.split(","))
     for trunc in (Truncation(1, 1), Truncation(3, 2), Truncation(2, 4), Truncation(4, 3)):
-        assert _mixed_series(phis, trunc) == \
-            reduce(convolve, (degree_counts(phi, trunc) for phi in phis)), trunc
+        product = reduce(convolve, (degree_counts(phi, trunc) for phi in phis))
+        # a window one degree wider than the product on each side
+        dims = phi_verma_graded_dims(phis, min(product) - 1, max(product) + 1, trunc)
+        assert dims.counts == product, trunc
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])

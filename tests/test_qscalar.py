@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pdiv_exact
+from oracles import pdiv_exact, pseudo_rem
 
 import qheis.qscalar as qscalar
 from qheis.qscalar import (
@@ -18,6 +18,8 @@ from qheis.qscalar import (
     Scalar,
     UndefinedFactorial,
     _digit_bytes,
+    _int_divmod,
+    _int_pseudo_rem,
     _integer_coefficients,
     _pdiv_exact,
     _pgcd,
@@ -433,6 +435,45 @@ def test_gcd_is_primitive_and_divides_both_operands(a, b, common, plant):
     for p in (a, b):
         assert _pdiv_exact(p, g) == pdiv_exact(p, g)
     assert max(g) == poly_gcd_degree(a, b)
+
+
+def integer_polys(max_degree=5, bound=9):
+    polys = st.dictionaries(st.integers(0, max_degree), st.integers(-bound, bound),
+                            min_size=1, max_size=max_degree + 1)
+    return polys.map(lambda p: {e: c for e, c in p.items() if c} or {0: 1})
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polys(), integer_polys(), integer_polys(), st.sampled_from([1, -1, 2, -3]),
+       st.integers(1, 3))
+def test_integer_divmod_returns_quotient_and_remainder(div, q, r, lead, gap):
+    # num = q * div + r with deg r < deg div and q integral: every step divides
+    # exactly, and the division returns q and r
+    div = {**div, max(div) + gap: lead}
+    r = {e: c for e, c in r.items() if e < max(div)}
+    num = {e: int(c) for e, c in poly_mul(q, div).items()}
+    for e, c in r.items():
+        num[e] = num.get(e, 0) + c
+    assert _int_divmod({e: c for e, c in num.items() if c}, div) == (q, r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_polys(8, 30), integer_polys(5, 30))
+def test_pseudo_remainder_equals_the_step_by_step_oracle(a, b):
+    if max(a) < max(b):
+        a, b = b, a
+    # lead(b)^(deg a - deg b + 1) * a = q * b + r with deg r < deg b
+    scaled = {e: c * b[max(b)] ** (max(a) - max(b) + 1) for e, c in a.items()}
+    q, r = _int_divmod(scaled, b)
+    assert not r or max(r) < max(b)
+    product = poly_mul(q, b)
+    assert all(product.get(e, 0) + r.get(e, 0) == scaled.get(e, 0)
+               for e in set(product) | set(r) | set(scaled))
+    # whose primitive part is the oracle's, up to sign
+    rem = _int_pseudo_rem(a, b)
+    oracle = pseudo_rem(a, b)
+    assert rem in (oracle, {e: -c for e, c in oracle.items()})
+    assert not rem or gcd(*rem.values()) == 1
 
 
 def test_a_constant_operand_skips_the_remainder_sequence(monkeypatch):

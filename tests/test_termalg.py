@@ -216,7 +216,7 @@ def _random_central_table(rng, size=4):
     def key(g):
         return (g.degree,)
 
-    return gens, RelationTable("random", key, comm)
+    return gens, RelationTable(key, comm)
 
 
 def test_confluence_random_tables_and_words():

@@ -54,7 +54,7 @@ def rewriting_table(module):
     def comm(a, b):
         return central_bracket(a.degree, module.level) if a.degree + b.degree == 0 else {}
 
-    return RelationTable("verma", lambda g: (0 if is_lowering(module, g) else 1, g.degree), comm)
+    return RelationTable(lambda g: (0 if is_lowering(module, g) else 1, g.degree), comm)
 
 
 def monomial_word(module, exps, raising=False):
@@ -544,3 +544,12 @@ def test_truncation_validation():
         Truncation(0, 3)
     with pytest.raises(ValueError):
         Truncation(3, 0)
+
+
+@pytest.mark.parametrize("short,long", [("-", "--"), ("+-:+", "+-:++")],
+                         ids=["minus", "mixed"])
+def test_one_signature_spelled_two_ways_shares_one_count_table(short, long):
+    # the counts are cached on the lowering degrees, not on the spelling
+    for trunc in (Truncation(1, 1), Truncation(4, 3)):
+        assert degree_counts(PhiSignature.parse(short), trunc) is \
+            degree_counts(PhiSignature.parse(long), trunc)
