@@ -26,7 +26,7 @@ from .heisenberg import (
     verify_canonical_relations,
 )
 from .loopweights import GradedDims, phi_verma_weight_dim, weight_multiplicity
-from .qscalar import qint, specialize_q1
+from .qscalar import qint
 from .verma import PhiSignature, Truncation, VermaModule
 from .weyliso import verify_weyl_iso
 
@@ -69,12 +69,12 @@ def _cmd_cartan(args):
 
 
 def _cmd_qnum(args):
-    value = qint(args.n, args.d)
-    if args.at_q1:
-        rat = specialize_q1(value)
-        obj = int(rat) if rat.denominator == 1 else str(rat)
+    if args.at_q1 and args.d >= 1:
+        # [n] in base q^d is n at q = 1: its |n| terms are never built
+        obj = args.n
     else:
-        obj = str(value)
+        # qint rejects d < 1, with or without --at-q1
+        obj = str(qint(args.n, args.d))
     _emit(obj, args.format, lambda o: [o])
     return 0
 

@@ -51,8 +51,8 @@ def _pneg(a):
     return {e: -c for e, c in a.items()}
 
 
-# Below this many term pairs the schoolbook loop beats packing into ints.
-_KRONECKER_MIN_PAIRS = 64
+# Below this many term pairs the integer schoolbook loop beats Kronecker packing.
+_KRONECKER_MIN_PAIRS = 512
 
 # Up to this many bytes per digit, packing every factor of a power product at
 # one common width beats raising each at its own width and multiplying in turn.
@@ -60,10 +60,21 @@ _ONE_PACK_MAX_BYTES = 45
 
 
 def _pmul(a, b):
-    # the schoolbook loop below _KRONECKER_MIN_PAIRS, else a power product
-    if len(a) * len(b) < _KRONECKER_MIN_PAIRS:
-        return _pmul_schoolbook(a, b)
-    return _power_product(((a, 1), (b, 1)))
+    # both operands scaled to integers once and multiplied term by term below
+    # _KRONECKER_MIN_PAIRS, else by Kronecker substitution; each nonzero output
+    # coefficient becomes a Fraction once
+    da, ia = _integer_coefficients(a)
+    db, ib = _integer_coefficients(b)
+    if len(ia) * len(ib) < _KRONECKER_MIN_PAIRS:
+        out = {}
+        for ea, ca in ia.items():
+            for eb, cb in ib.items():
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    else:
+        pair = [(ia, 1), (ib, 1)]
+        out = _kronecker(pair, _digit_bytes(pair))
+    den = da * db
+    return {e: Fraction(c, den) for e, c in out.items() if c}
 
 
 def _power_product(factors, count=1):
@@ -162,20 +173,6 @@ def _pack(ints, low, step, nbytes, digits):
         else:
             neg[i:i + nbytes] = (-c).to_bytes(nbytes, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _pmul_schoolbook(a, b):
-    # term by term; the reference that the Kronecker route is tested against
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            v = out.get(e, Fraction(0)) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
 
 
 def _pshift(p, k):

@@ -53,6 +53,19 @@ MUTANTS = [
      [VERMA + "test_multiplying_in_a_factor_equals_the_convolution"]),
     ("verma.py", "total += term if k % 2 else -term", "total += -term if k % 2 else term",
      [VERMA + "test_pentagonal_partition_table_equals_the_part_by_part_table"]),
+    # the integer product: one denominator only, zero coefficients stored, a
+    # digit byte short, and the threshold itself left on the schoolbook side
+    ("qscalar.py", "    den = da * db\n", "    den = da\n",
+     [QSCALAR + "test_integer_product_equals_the_fraction_schoolbook"]),
+    ("qscalar.py", "return {e: Fraction(c, den) for e, c in out.items() if c}",
+     "return {e: Fraction(c, den) for e, c in out.items()}",
+     [QSCALAR + "test_integer_product_equals_the_fraction_schoolbook"]),
+    ("qscalar.py", "out = _kronecker(pair, _digit_bytes(pair))",
+     "out = _kronecker(pair, _digit_bytes(pair) - 1)",
+     [QSCALAR + "test_kronecker_product_at_the_digit_bound"]),
+    ("qscalar.py", "if len(ia) * len(ib) < _KRONECKER_MIN_PAIRS:",
+     "if len(ia) * len(ib) <= _KRONECKER_MIN_PAIRS:",
+     [QSCALAR + "test_kronecker_product_on_both_sides_of_the_threshold"]),
     # graded counts: one degree short, the mixed branch over its first node
     # only, and the shared cache gone
     ("verma.py", "for i in range(1, truncation.max_index + 1))",

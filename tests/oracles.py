@@ -15,6 +15,21 @@ def convolve(a, b):
     return out
 
 
+def pmul_schoolbook(a, b):
+    """The product of two Laurent polynomials {exponent: Fraction or int}, term
+    by term over Fraction; zero coefficients are not stored."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            v = out.get(e, Fraction(0)) + ca * cb
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
 def pdiv_exact(num, den):
     """The quotient of ordinary polynomials {exponent: Fraction} (min exponent
     >= 0), den nonzero, by long division over Fraction; a nonzero remainder

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,19 @@ def test_json_outputs_are_valid_json():
 def test_qnum_spec_example(capsys):
     assert run(["qnum", "--n", "3", "--d", "2", "--at-q1"]) == 0
     assert capsys.readouterr().out == "3\n"
+
+
+@pytest.mark.parametrize("n", [10**12, -10**12])
+def test_qnum_at_q1_of_a_huge_n_is_n_at_once(n, capsys):
+    # [n] is n at q = 1: the |n| terms of the q-integer are never built
+    start = time.perf_counter()
+    assert run(["qnum", "--n", str(n), "--d", "3", "--at-q1"]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == f"{n}\n"
+    # a base exponent below 1 stays a usage error
+    assert run(["qnum", "--n", str(n), "--d", "0", "--at-q1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "base exponent" in captured.err
 
 
 def test_usage_error_names_offending_flag(capsys):

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import pdiv_exact, pseudo_rem
+from oracles import pdiv_exact, pmul_schoolbook, pseudo_rem
 
 import qheis.qscalar as qscalar
 from qheis.qscalar import (
@@ -24,7 +24,6 @@ from qheis.qscalar import (
     _pdiv_exact,
     _pgcd,
     _pmul,
-    _pmul_schoolbook,
     _poly_str,
     _power_product,
     power_product,
@@ -36,14 +35,6 @@ from qheis.qscalar import (
 
 
 # -- independent long-division oracle on {exponent: Fraction} dicts ---------
-
-def poly_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
 
 def poly_div_exact(num, den):
     # Laurent-safe: shift both to nonnegative exponents, long-divide, shift back
@@ -310,7 +301,7 @@ def test_coprime_equals_euclid_over_fraction():
         a, b = poly(rng.randint(0, 4)), poly(rng.randint(0, 4))
         if rng.random() < 0.5:
             g = poly(rng.randint(1, 2))
-            a, b = poly_mul(a, g), poly_mul(b, g)
+            a, b = pmul_schoolbook(a, g), pmul_schoolbook(b, g)
         verdicts.append(coprime(a, b))
         assert verdicts[-1] == (poly_gcd_degree(a, b) == 0), (a, b)
     assert 50 < sum(verdicts) < 250
@@ -401,7 +392,7 @@ def ordinary_polys(max_degree=5):
 @given(ordinary_polys(), ordinary_polys(), _CONTENTS)
 def test_integer_division_equals_the_fraction_oracle(g, q, content):
     g = {e: c * content for e, c in g.items()}
-    num = poly_mul(g, q)
+    num = pmul_schoolbook(g, q)
     quo = _pdiv_exact(num, g)
     assert quo == pdiv_exact(num, g) == q
     assert all(type(c) is Fraction for c in quo.values())
@@ -415,7 +406,7 @@ def test_a_non_multiple_raises_in_both_routes(g, q, r, lead, gap, content):
     g = {e: c for e, c in g.items() if e <= max(r)}
     g[max(r) + gap] = lead
     g = {e: c * content for e, c in g.items()}
-    num = poly_mul(g, q)
+    num = pmul_schoolbook(g, q)
     for e, c in r.items():
         num[e] = num.get(e, Fraction(0)) + c
     num = {e: c for e, c in num.items() if c}
@@ -428,7 +419,7 @@ def test_a_non_multiple_raises_in_both_routes(g, q, r, lead, gap, content):
 @given(ordinary_polys(), ordinary_polys(), ordinary_polys(3), st.booleans())
 def test_gcd_is_primitive_and_divides_both_operands(a, b, common, plant):
     if plant:
-        a, b = poly_mul(a, common), poly_mul(b, common)
+        a, b = pmul_schoolbook(a, common), pmul_schoolbook(b, common)
     g = _pgcd(a, b)
     assert all(type(c) is int for c in g.values())
     assert gcd(*g.values()) == 1 and g[max(g)] > 0
@@ -451,7 +442,7 @@ def test_integer_divmod_returns_quotient_and_remainder(div, q, r, lead, gap):
     # exactly, and the division returns q and r
     div = {**div, max(div) + gap: lead}
     r = {e: c for e, c in r.items() if e < max(div)}
-    num = {e: int(c) for e, c in poly_mul(q, div).items()}
+    num = {e: int(c) for e, c in pmul_schoolbook(q, div).items()}
     for e, c in r.items():
         num[e] = num.get(e, 0) + c
     assert _int_divmod({e: c for e, c in num.items() if c}, div) == (q, r)
@@ -466,7 +457,7 @@ def test_pseudo_remainder_equals_the_step_by_step_oracle(a, b):
     scaled = {e: c * b[max(b)] ** (max(a) - max(b) + 1) for e, c in a.items()}
     q, r = _int_divmod(scaled, b)
     assert not r or max(r) < max(b)
-    product = poly_mul(q, b)
+    product = pmul_schoolbook(q, b)
     assert all(product.get(e, 0) + r.get(e, 0) == scaled.get(e, 0)
                for e in set(product) | set(r) | set(scaled))
     # whose primitive part is the oracle's, up to sign
@@ -485,7 +476,7 @@ def test_a_constant_operand_skips_the_remainder_sequence(monkeypatch):
                  ({0: Fraction(1)}, {0: Fraction(2)})]:
         assert _pgcd(a, b) == {0: 1}
     assert calls == []
-    assert _pgcd(poly_mul(x, x), {2: Fraction(-6), 1: Fraction(4)}) == {1: 3, 0: -2}
+    assert _pgcd(pmul_schoolbook(x, x), {2: Fraction(-6), 1: Fraction(4)}) == {1: 3, 0: -2}
     assert calls
 
 
@@ -509,23 +500,67 @@ def laurent_polys(draw, max_size=24):
 @settings(max_examples=300, deadline=None)
 @given(laurent_polys(), laurent_polys())
 def test_kronecker_product_equals_schoolbook(a, b):
-    assert _pmul(a, b) == _pmul_schoolbook(a, b)
+    assert _pmul(a, b) == pmul_schoolbook(a, b)
 
 
-@pytest.mark.parametrize("sizes", [(7, 9), (8, 8), (1, 64), (9, 20), (40, 40)])
-def test_kronecker_product_on_both_sides_of_the_threshold(sizes):
-    assert _KRONECKER_MIN_PAIRS == 64  # the sizes straddle it
+# pair counts just below, at and above the threshold
+_PAIRS = _KRONECKER_MIN_PAIRS
+_SIDE = isqrt(_PAIRS)
+
+
+@pytest.mark.parametrize("sizes", [(_SIDE, (_PAIRS - 1) // _SIDE), (_SIDE + 1, _SIDE + 1),
+                                   (1, _PAIRS), (1, _PAIRS - 1), (2 * _SIDE, 2 * _SIDE)])
+def test_kronecker_product_on_both_sides_of_the_threshold(sizes, monkeypatch):
+    packs = []
+    kronecker = qscalar._kronecker
+    monkeypatch.setattr(qscalar, "_kronecker", lambda *args: packs.append(1) or kronecker(*args))
     rng = random.Random(sum(sizes))
     for _ in range(20):
         a, b = ({e: Fraction(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**3))
-                 for e in rng.sample(range(-50, 51), n)} for n in sizes)
-        assert _pmul(a, b) == _pmul_schoolbook(a, b)
+                 for e in rng.sample(range(-2 * _PAIRS, 2 * _PAIRS + 1), n)} for n in sizes)
+        assert _pmul(a, b) == pmul_schoolbook(a, b)
+    # only a product of at least _KRONECKER_MIN_PAIRS term pairs is packed
+    assert len(packs) == (20 if sizes[0] * sizes[1] >= _PAIRS else 0)
+
+
+@st.composite
+def product_operands(draw):
+    # integer or fractional coefficients, on random operands or on a pair whose
+    # product cancels every term but its two ends; pair counts from 1 to about
+    # twice the threshold
+    integral, cancel = draw(st.booleans()), draw(st.booleans())
+    rng = draw(st.randoms(use_true_random=False))
+
+    def coeff():
+        c = rng.randint(-10**6, 10**6) or 1
+        return Fraction(c) if integral else Fraction(c, rng.randint(1, 10**4))
+
+    if cancel:
+        # (1 - x + x^2 - ... +- x^(n-1)) (1 + x) = 1 +- x^n with x = s^k
+        n, k = draw(st.integers(1, _PAIRS)), draw(st.integers(1, 4))
+        low = draw(st.integers(-50, 50))
+        c, d = coeff(), coeff()
+        a = {low + i * k: c * (-1) ** i for i in range(n)}
+        b = {-low: d, k - low: d}
+        return (a, b) if draw(st.booleans()) else (b, a)
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 2 * _PAIRS // m + 1))
+    return tuple({e: coeff() for e in rng.sample(range(-3 * _PAIRS, 3 * _PAIRS + 1), size)}
+                 for size in (m, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_integer_product_equals_the_fraction_schoolbook(operands):
+    got = _pmul(*operands)
+    assert got == pmul_schoolbook(*operands)
+    assert all(type(c) is Fraction and c for c in got.values())
 
 
 @pytest.mark.parametrize("den", [1, 3**7])
 @pytest.mark.parametrize("signs", [(1, 1), (-1, 1), (-1, -1)])
 @pytest.mark.parametrize("past_edge", [False, True])
-@pytest.mark.parametrize("sizes", [(1, 64), (8, 8), (3, 30)])
+@pytest.mark.parametrize("sizes", [(1, _PAIRS), (_SIDE + 1, _SIDE + 1), (3, _PAIRS // 3 + 1)])
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
 def test_kronecker_product_at_the_digit_bound(nbytes, sizes, past_edge, signs, den):
     # equal coefficients on consecutive exponents put n*A*B, the bound
@@ -540,7 +575,7 @@ def test_kronecker_product_at_the_digit_bound(nbytes, sizes, past_edge, signs, d
     got = _pmul(a, b)
     peak = max(got.values(), key=abs)
     assert abs(peak) * den * den == n * big and (n * big >= edge) == past_edge
-    assert got == _pmul_schoolbook(a, b)
+    assert got == pmul_schoolbook(a, b)
 
 
 @settings(max_examples=60, deadline=None)
@@ -625,7 +660,7 @@ def product_by_schoolbook(factors):
     out = {0: Fraction(1)}
     for p, k in factors:
         for _ in range(k):
-            out = _pmul_schoolbook(out, p)
+            out = pmul_schoolbook(out, p)
     return out
 
 
