@@ -64,6 +64,8 @@ class HeisenbergAlgebra:
     level: int | None = None
 
     def __post_init__(self):
+        # a str equal to a member shares its cache entries, so it must be that member
+        object.__setattr__(self, "convention", StructureConvention(self.convention))
         if self.level == 0:
             raise ZeroLevel("level must be nonzero when specialized")
 
@@ -218,6 +220,15 @@ def _check_relations(alg: HeisenbergAlgebra, max_k: int, relations):
     return checks
 
 
+def _pairing(alg: HeisenbergAlgebra, table: RelationTable, i, j, k, l, primed):
+    """[h_{ik}, h'_{j,-l}] through the defining presentation, and its expected
+    central value: the gamma bracket when (i, k) == (j, l), else zero."""
+    lhs = commutator(AlgebraElement.from_gen(h_gen(i, k)), primed[(j, l)], table)
+    if i == j and k == l:
+        return lhs, AlgebraElement({((), g): v for g, v in gamma_bracket(k, alg.level).items()})
+    return lhs, AlgebraElement.zero()
+
+
 def verify_canonical_relations(alg: HeisenbergAlgebra, max_k: int):
     """Check the decoupled relations symbolically through the defining presentation.
 
@@ -231,11 +242,7 @@ def verify_canonical_relations(alg: HeisenbergAlgebra, max_k: int):
         return AlgebraElement.from_gen(h_gen(i, k))
 
     def pairing(i, j, k, l, primed):
-        lhs = commutator(h(i, k), primed[(j, l)], table)
-        if i == j and k == l:
-            rhs = AlgebraElement({((), g): v for g, v in gamma_bracket(k, alg.level).items()})
-        else:
-            rhs = AlgebraElement.zero()
+        lhs, rhs = _pairing(alg, table, i, j, k, l, primed)
         return lhs, rhs, lhs - rhs
 
     def pos_commute(i, j, k, l, primed):

@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .cartan import CartanData, positive_roots
-from .verma import PhiSignature, Truncation, Verdict, _factor_product, _lowering_degree
+from .verma import (PhiSignature, Truncation, Verdict, _factor_product, _lowering_degree,
+                    partition_series)
 
 __all__ = [
     "NotInSupport", "GradedDims", "MultiplicityReport", "support_contains",
@@ -147,24 +148,6 @@ def _mixed(phis) -> bool:
                 and len({phi.constant_sign() for phi in phis}) == 1)
 
 
-_DIVISOR_SUMS = [0]
-_CONSTANT_SERIES = {}
-
-
-def _constant_series(rank: int, far: int) -> list:
-    """[a(0), ..., a(far), ...]: the coefficients of prod_{m >= 1} (1 - x^m)^(-rank)
-    from t a(t) = rank * sum_{j=1..t} sigma(j) a(t - j), sigma the divisor sum,
-    on one table per rank that grows on demand.  No coefficient at t <= far
-    depends on where the product is cut, so every window shares the table."""
-    sigma = _DIVISOR_SUMS
-    for j in range(len(sigma), far + 1):
-        sigma.append(sum(d for d in range(1, j + 1) if j % d == 0))
-    a = _CONSTANT_SERIES.setdefault(rank, [1])
-    for t in range(len(a), far + 1):
-        a.append(rank * sum(sigma[j] * a[t - j] for j in range(1, t + 1)) // t)
-    return a
-
-
 def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDims:
     """Graded dimensions of the rank-many tensor factors picked out by the
     signatures, on the window [lo, hi].  They do not depend on the level."""
@@ -181,7 +164,7 @@ def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDi
     # t from the window's near end to its far end
     side = -phis[0].constant_sign()
     near, far = (lo, hi) if side > 0 else (-hi, -lo)
-    table = _constant_series(len(phis), far)
+    table = partition_series(len(phis), far)
     counts = {side * t: table[t] for t in range(max(near, 0), far + 1)}
     return GradedDims(counts, frozenset(), (lo, hi))
 

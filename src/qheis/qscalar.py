@@ -51,28 +51,20 @@ def _pneg(a):
     return {e: -c for e, c in a.items()}
 
 
-# Below this many term pairs the integer schoolbook loop beats Kronecker packing.
-_KRONECKER_MIN_PAIRS = 512
-
 # Up to this many bytes per digit, packing every factor of a power product at
 # one common width beats raising each at its own width and multiplying in turn.
 _ONE_PACK_MAX_BYTES = 45
 
 
 def _pmul(a, b):
-    # both operands scaled to integers once and multiplied term by term below
-    # _KRONECKER_MIN_PAIRS, else by Kronecker substitution; each nonzero output
-    # coefficient becomes a Fraction once
+    # both operands scaled to integers once and multiplied term by term; each
+    # nonzero output coefficient becomes a Fraction once
     da, ia = _integer_coefficients(a)
     db, ib = _integer_coefficients(b)
-    if len(ia) * len(ib) < _KRONECKER_MIN_PAIRS:
-        out = {}
-        for ea, ca in ia.items():
-            for eb, cb in ib.items():
-                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-    else:
-        pair = [(ia, 1), (ib, 1)]
-        out = _kronecker(pair, _digit_bytes(pair))
+    out = {}
+    for ea, ca in ia.items():
+        for eb, cb in ib.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
     den = da * db
     return {e: Fraction(c, den) for e, c in out.items() if c}
 
@@ -176,9 +168,8 @@ def _pack(ints, low, step, nbytes, digits):
 
 
 def _pshift(p, k):
-    if k == 0:
-        return dict(p)
-    return {e + k: c for e, c in p.items()}
+    # no polynomial dict is changed in place, so a zero shift shares p
+    return p if k == 0 else {e + k: c for e, c in p.items()}
 
 
 def _int_primitive(p):
@@ -253,6 +244,19 @@ def _pdiv_exact(num, den):
     return {e: Fraction(q * dd, scale) for e, q in quo.items()}
 
 
+def _coprime(num, den):
+    # an equal quotient with the common factor of the parts cleared of powers
+    # of s divided out of both; a monomial den leaves no factor to divide out
+    if len(den) == 1:
+        return num, den
+    v, w = min(num), min(den)
+    flat, den = _pshift(num, -v), _pshift(den, -w)
+    g = _pgcd(flat, den)
+    if max(g) > 0:
+        flat, den = _pdiv_exact(flat, g), _pdiv_exact(den, g)
+    return _pshift(flat, v - w), den
+
+
 def _canonical(num, den):
     # num / den with no common factor but powers of s: shift the denominator
     # to an ordinary polynomial with nonzero constant term and make it monic
@@ -313,13 +317,7 @@ class Scalar:
         if not den:
             raise DivisionByZero("zero denominator")
         if num:
-            # cancel the common factor of the parts cleared of powers of s
-            v, w = min(num), min(den)
-            flat, den = _pshift(num, -v), _pshift(den, -w)
-            g = _pgcd(flat, den)
-            if max(g) > 0:
-                flat, den = _pdiv_exact(flat, g), _pdiv_exact(den, g)
-            num = _pshift(flat, v - w)
+            num, den = _coprime(num, den)
         self._num, self._den = _canonical(num, den)
 
     @classmethod
@@ -370,7 +368,7 @@ class Scalar:
         den = _pmul(d1, d2g)
         if num:
             val = min(num)
-            flat = _pshift(num, -val) if val else num
+            flat = _pshift(num, -val)
             h = _pgcd(flat, g)
             if max(h) > 0:
                 num = _pshift(_pdiv_exact(flat, h), val)
@@ -397,23 +395,10 @@ class Scalar:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
-        # cross-cancel so the product of the cleared parts is already coprime
-        v1 = min(self._num)
-        f1 = _pshift(self._num, -v1) if v1 else dict(self._num)
-        v2 = min(other._num)
-        f2 = _pshift(other._num, -v2) if v2 else dict(other._num)
-        d1, d2 = self._den, other._den
-        if max(d2) > 0:
-            g = _pgcd(f1, d2)
-            if max(g) > 0:
-                f1 = _pdiv_exact(f1, g)
-                d2 = _pdiv_exact(d2, g)
-        if max(d1) > 0:
-            g = _pgcd(f2, d1)
-            if max(g) > 0:
-                f2 = _pdiv_exact(f2, g)
-                d1 = _pdiv_exact(d1, g)
-        return Scalar._reduced(_pshift(_pmul(f1, f2), v1 + v2), _pmul(d1, d2))
+        # cross-cancel so that the product is already coprime
+        n1, d2 = _coprime(self._num, other._den)
+        n2, d1 = _coprime(other._num, self._den)
+        return Scalar._reduced(_pmul(n1, n2), _pmul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -443,10 +428,7 @@ class Scalar:
             return NotImplemented
         if k < 0:
             return (ONE / self) ** -k
-        # powers of a coprime pair stay coprime, and the power of a monic
-        # denominator with nonzero constant term is one too: no gcd
-        return Scalar._reduced(_power_product(((self._num, k),)),
-                               _power_product(((self._den, k),)))
+        return power_product(((self, k),))
 
     def __eq__(self, other):
         other = Scalar._coerce(other)
@@ -494,21 +476,25 @@ def qfactorial(n: int, d: int = 1) -> Scalar:
     """[n]! in base q^d."""
     if n < 0:
         raise UndefinedFactorial(f"factorial of negative argument {n}")
-    out = ONE
-    for k in range(1, n + 1):
-        out = out * qint(k, d)
-    return out
+    return power_product([(qint(k, d), 1) for k in range(1, n + 1)])
 
 
 def power_product(pairs, count: int = 1) -> Scalar:
-    """count * prod x^k over pairs (Scalar x, int k >= 0), count a nonzero int;
-    a gcd runs only when some factor has a nontrivial denominator."""
-    if any(k < 0 for _, k in pairs):
-        raise ValueError("power_product takes nonnegative exponents")
+    """count * prod x^k over pairs (Scalar x, int k >= 0), count a nonzero int.
+    A power of one canonical pair is canonical, so a gcd runs only when two
+    pairs have k > 0 and one of them has a nontrivial denominator."""
+    if not isinstance(count, int) or not count:
+        raise ValueError(f"power_product takes a nonzero int count, not {count!r}")
+    if any(not isinstance(k, int) or k < 0 for _, k in pairs):
+        raise ValueError("power_product takes nonnegative int exponents")
     num = _power_product([(x._num, k) for x, k in pairs], count)
-    if all(x.is_laurent for x, k in pairs if k):
+    live = [x for x, k in pairs if k]
+    if all(x.is_laurent for x in live):
         return Scalar._reduced(num, {0: Fraction(1)})
-    return Scalar(num, _power_product([(x._den, k) for x, k in pairs]))
+    den = _power_product([(x._den, k) for x, k in pairs])
+    if len(live) > 1 and num:
+        num, den = _coprime(num, den)
+    return Scalar._reduced(num, den)
 
 
 def specialize_q1(a: Scalar) -> Fraction:

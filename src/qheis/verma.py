@@ -20,7 +20,7 @@ from .qscalar import ONE, ZERO, Scalar, power_product
 __all__ = [
     "PhiSignature", "Truncation", "VermaModule", "build_module", "degree_counts",
     "Verdict", "GradedDimReport", "IrreducibilityReport",
-    "TruncationExceeded", "EmptyComponent", "partition_count",
+    "TruncationExceeded", "EmptyComponent", "partition_count", "partition_series",
 ]
 
 
@@ -130,24 +130,27 @@ class IrreducibilityReport:
     gram_dets: tuple
 
 
-_PARTITIONS = [1]
+_DIVISOR_SUMS = [0]
+_PARTITION_SERIES = {}
+
+
+def partition_series(rank: int, far: int) -> list:
+    """[a(0), ..., a(far), ...]: the coefficients of prod_{m >= 1} (1 - x^m)^(-rank),
+    from t a(t) = rank * sum_{j=1..t} sigma(j) a(t - j), sigma the divisor sum,
+    on one table per rank that grows on demand.  No coefficient at t <= far
+    depends on where the product is cut, so every window shares the table."""
+    sigma = _DIVISOR_SUMS
+    for j in range(len(sigma), far + 1):
+        sigma.append(sum(d for d in range(1, j + 1) if j % d == 0))
+    a = _PARTITION_SERIES.setdefault(rank, [1])
+    for t in range(len(a), far + 1):
+        a.append(rank * sum(sigma[j] * a[t - j] for j in range(1, t + 1)) // t)
+    return a
 
 
 def partition_count(n: int) -> int:
-    """Number of partitions of n (unbounded parts and multiplicities), by
-    Euler's pentagonal recurrence p(m) = sum_k (-1)^(k+1) (p(m - g_k) + p(m - g_k - k))
-    with g_k = k(3k-1)/2, on one table that grows on demand."""
-    if n < 0:
-        return 0
-    p = _PARTITIONS
-    for m in range(len(p), n + 1):
-        total, k = 0, 1
-        while (g := k * (3 * k - 1) // 2) <= m:
-            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
-            total += term if k % 2 else -term
-            k += 1
-        p.append(total)
-    return p[n]
+    """Number of partitions of n (unbounded parts and multiplicities)."""
+    return partition_series(1, n)[n] if n >= 0 else 0
 
 
 def _lowering_degree(phi: PhiSignature, i: int) -> int:

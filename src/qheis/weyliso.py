@@ -17,7 +17,7 @@ from .heisenberg import (
     StructureConvention,
     ZeroLevel,
     _check_relations,
-    gamma_bracket,
+    _pairing,
     oscillator_table,
     relation_table,
 )
@@ -143,12 +143,8 @@ def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,
     x = {(i, k): to_weyl(AlgebraElement.from_gen(hp_gen(i, -k)), level) for i, k in indices}
 
     def pairing(i, j, k, l, primed):
-        heis_side = commutator(AlgebraElement.from_gen(h_gen(i, k)), primed[(j, l)], loop)
+        heis_side, expected = _pairing(alg, loop, i, j, k, l, primed)
         weyl_side = commutator(d[(i, k)], x[(j, l)], weyl)
-        if i == j and k == l:
-            expected = AlgebraElement.from_scalar(gamma_bracket(k, level)[0])
-        else:
-            expected = AlgebraElement.zero()
         return heis_side, weyl_side, (heis_side - expected) + (weyl_side - expected)
 
     def pos_commute(i, j, k, l, primed):

@@ -29,6 +29,8 @@ QSCALAR = "tests/test_qscalar.py::"
 VERMA = "tests/test_verma.py::"
 LOOP = "tests/test_loopweights.py::"
 CARTAN = "tests/test_cartan.py::"
+HEIS = "tests/test_heisenberg.py::"
+WEYL = "tests/test_weyliso.py::"
 
 MUTANTS = [
     # Gram determinants read off the degree counts: E_i off by one in e, and the
@@ -51,21 +53,29 @@ MUTANTS = [
      [VERMA + "test_multiplying_in_a_factor_equals_the_convolution"]),
     ("verma.py", "for j in range(deg, L):", "for j in range(deg + 1, L):",
      [VERMA + "test_multiplying_in_a_factor_equals_the_convolution"]),
-    ("verma.py", "total += term if k % 2 else -term", "total += -term if k % 2 else term",
-     [VERMA + "test_pentagonal_partition_table_equals_the_part_by_part_table"]),
-    # the integer product: one denominator only, zero coefficients stored, a
-    # digit byte short, and the threshold itself left on the schoolbook side
+    # the integer schoolbook product: one denominator only, and zero
+    # coefficients stored
     ("qscalar.py", "    den = da * db\n", "    den = da\n",
      [QSCALAR + "test_integer_product_equals_the_fraction_schoolbook"]),
     ("qscalar.py", "return {e: Fraction(c, den) for e, c in out.items() if c}",
      "return {e: Fraction(c, den) for e, c in out.items()}",
      [QSCALAR + "test_integer_product_equals_the_fraction_schoolbook"]),
-    ("qscalar.py", "out = _kronecker(pair, _digit_bytes(pair))",
-     "out = _kronecker(pair, _digit_bytes(pair) - 1)",
+    # the digit width one byte short of its bound
+    ("qscalar.py", "return (bound.bit_length() + 8) // 8", "return (bound.bit_length() + 7) // 8",
      [QSCALAR + "test_kronecker_product_at_the_digit_bound"]),
-    ("qscalar.py", "if len(ia) * len(ib) < _KRONECKER_MIN_PAIRS:",
-     "if len(ia) * len(ib) <= _KRONECKER_MIN_PAIRS:",
-     [QSCALAR + "test_kronecker_product_on_both_sides_of_the_threshold"]),
+    # power_product: a zero count or a float exponent let through, and the gcd
+    # skipped for two pairs with k > 0
+    ("qscalar.py", "if not isinstance(count, int) or not count:", "if not isinstance(count, int):",
+     [QSCALAR + "test_power_product_of_laurent_factors_and_its_validation"]),
+    ("qscalar.py", "if any(not isinstance(k, int) or k < 0 for _, k in pairs):",
+     "if any(k < 0 for _, k in pairs):",
+     [QSCALAR + "test_power_product_of_laurent_factors_and_its_validation"]),
+    ("qscalar.py", "if len(live) > 1 and num:", "if len(live) > 2 and num:",
+     [QSCALAR + "test_power_product_of_laurent_factors_and_its_validation"]),
+    # the one cancel step divides the numerator by the gcd too
+    ("qscalar.py", "flat, den = _pdiv_exact(flat, g), _pdiv_exact(den, g)",
+     "den = _pdiv_exact(den, g)",
+     [QSCALAR + "test_field_operation_examples"]),
     # graded counts: one degree short, the mixed branch over its first node
     # only, and the shared cache gone
     ("verma.py", "for i in range(1, truncation.max_index + 1))",
@@ -76,11 +86,12 @@ MUTANTS = [
      [LOOP + "test_mixed_series_is_the_product_of_the_node_counts"]),
     ("verma.py", "@lru_cache(maxsize=None)\ndef _factor_product", "def _factor_product",
      [VERMA + "test_one_signature_spelled_two_ways_shares_one_count_table"]),
-    # the constant-sign series: sigma without j itself, the rank dropped from
-    # the recurrence, and the window read one short
-    ("loopweights.py", "for d in range(1, j + 1) if j % d == 0", "for d in range(1, j) if j % d == 0",
-     [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
-    ("loopweights.py", "a.append(rank * sum(", "a.append(sum(",
+    # the one partition table: sigma without j itself and the rank dropped
+    # from the recurrence; and the constant-sign window read one short
+    ("verma.py", "for d in range(1, j + 1) if j % d == 0", "for d in range(1, j) if j % d == 0",
+     [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window",
+      VERMA + "test_pentagonal_partition_table_equals_the_part_by_part_table"]),
+    ("verma.py", "a.append(rank * sum(", "a.append(sum(",
      [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
     ("loopweights.py", "for t in range(max(near, 0), far + 1)}", "for t in range(max(near, 0), far)}",
      [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
@@ -114,6 +125,15 @@ MUTANTS = [
      [QSCALAR + "test_gcd_is_primitive_and_divides_both_operands"]),
     ("qscalar.py", "    if max(a) == 0 or max(b) == 0:\n        return {0: 1}\n", "",
      [QSCALAR + "test_a_constant_operand_skips_the_remainder_sequence"]),
+    # a convention string becomes its member; the pairing expects the bracket
+    # on the diagonal only, in both verifiers
+    ("heisenberg.py",
+     '        object.__setattr__(self, "convention", StructureConvention(self.convention))\n', "",
+     [HEIS + "test_a_convention_string_is_its_member_in_either_call_order",
+      HEIS + "test_an_unknown_convention_is_rejected",
+      WEYL + "test_a_convention_string_verifies_as_its_member"]),
+    ("heisenberg.py", "    if i == j and k == l:\n        return lhs,", "    if i == j:\n        return lhs,",
+     [HEIS + "test_verify_canonical_relations_a2", WEYL + "test_verify_weyl_iso_small"]),
     # --flag=-- keeps "--" as its value
     ("cli.py", 'if action.option_strings and arg_strings == ["--"]:', "if False:",
      ["tests/test_cli.py::test_double_dash_is_a_signature_within_its_token"]),

@@ -97,6 +97,20 @@ def partition_table(n):
     return table
 
 
+def partition_pentagonal(n):
+    """[p(0), ..., p(n)] by Euler's pentagonal recurrence
+    p(m) = sum_k (-1)^(k+1) (p(m - g_k) + p(m - g_k - k)) with g_k = k(3k-1)/2."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            term = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += term if k % 2 else -term
+            k += 1
+        p.append(total)
+    return p
+
+
 def load_benchmark_oracle():
     """benchmark/oracle.py: the benchmark's independent check of every CLI output."""
     path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "oracle.py"

@@ -82,6 +82,30 @@ def test_conventions_differ_for_mixed_lengths():
     assert structure_constant(p, 1, 2, 1) != structure_constant(d, 1, 2, 1)
 
 
+# the pairing coefficient (i, j, k) = (1, 1, 1) of G2, whose node 1 has d = 3
+G2_PAPER = "s^18 + s^6 / s^24 + s^12 + 1"
+G2_DRINFELD = "s^10 + s^-2 / s^8 + s^4 + 1"
+
+
+@pytest.mark.parametrize("order, want", [
+    (("paper", QJ), G2_PAPER), ((QJ, "paper"), G2_PAPER),
+    (("drinfeld", PLAIN), G2_DRINFELD), ((PLAIN, "drinfeld"), G2_DRINFELD)])
+def test_a_convention_string_is_its_member_in_either_call_order(order, want):
+    # a str equals its member and hashes like it, so both reach one cache
+    # entry: on a cold cache, whichever comes first must store the right value
+    structure_constant.cache_clear()
+    cd = load_type("G", 2)
+    for conv in order:
+        alg = HeisenbergAlgebra(cd, conv)
+        assert alg.convention is StructureConvention(conv)
+        assert str(structure_constant(alg, 1, 1, 1)) == want
+
+
+def test_an_unknown_convention_is_rejected():
+    with pytest.raises(ValueError):
+        HeisenbergAlgebra(load_type("G", 2), "nonsense")
+
+
 def test_inverse_matrix_a1():
     alg = HeisenbergAlgebra(load_type("A", 1))
     b = inverse_structure_matrix(alg, 1)

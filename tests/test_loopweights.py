@@ -3,9 +3,9 @@ from collections import Counter
 from functools import reduce
 
 import pytest
-from oracles import convolve, inverse_euler_cut
+from oracles import convolve, inverse_euler_cut, partition_pentagonal
 
-import qheis.loopweights as loopweights
+import qheis.verma as verma
 from qheis.cartan import load_type, positive_roots
 from qheis.loopweights import (
     GradedDims,
@@ -263,13 +263,14 @@ def test_mixed_series_is_the_product_of_the_node_counts(signs):
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_constant_series_equals_the_partition_convolution(rank, sign):
-    # the route it replaced: one partition series per node, cut at the
+    # one partition series per node by the pentagonal recurrence, cut at the
     # window's far end, convolved rank times
     phis = [PhiSignature.parse(sign)] * rank
     side = 1 if sign == "-" else -1
     for lo, hi in [(-20, 20), (-7, -2), (3, 9), (0, 0), (-1, 15), (-15, 1), (4, 2)]:
         far = hi if side > 0 else -lo
-        node = {side * t: partition_count(t) for t in range(far + 1)}
+        pentagonal = partition_pentagonal(max(far, 0))
+        node = {side * t: pentagonal[t] for t in range(far + 1)}
         want = {m: c for m, c in reduce(convolve, [node] * rank).items() if lo <= m <= hi}
         assert phi_verma_graded_dims(phis, lo, hi, Truncation(2, 2)).counts == want, (lo, hi)
 
@@ -278,7 +279,8 @@ def test_constant_series_equals_the_partition_convolution(rank, sign):
 def test_constant_series_table_equals_the_product_cut_at_each_window(rank, monkeypatch):
     # one table per rank, grown from empty by windows that move out, back in
     # and out again, against the product cut afresh at each window's far end
-    monkeypatch.setattr(loopweights, "_CONSTANT_SERIES", {})
+    monkeypatch.setattr(verma, "_PARTITION_SERIES", {})
+    monkeypatch.setattr(verma, "_DIVISOR_SUMS", [0])
     windows = [(k - 10, k + 10) for k in range(-70, 71, 7)] + [(0, 0), (4, 2), (-80, 80)]
     for sign, side in (("-", 1), ("+", -1)):
         phis = [PhiSignature.parse(sign)] * rank
@@ -289,7 +291,8 @@ def test_constant_series_table_equals_the_product_cut_at_each_window(rank, monke
             counts = phi_verma_graded_dims(phis, lo, hi, Truncation(2, 2)).counts
             assert counts == want, (sign, lo, hi)
             if rank == 1:
-                assert all(c == partition_count(side * m) for m, c in counts.items())
+                pentagonal = partition_pentagonal(max(far, 0))
+                assert all(c == pentagonal[side * m] for m, c in counts.items())
 
 
 def test_report_json_shape():

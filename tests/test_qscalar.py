@@ -9,7 +9,6 @@ from oracles import pdiv_exact, pmul_schoolbook, pseudo_rem
 
 import qheis.qscalar as qscalar
 from qheis.qscalar import (
-    _KRONECKER_MIN_PAIRS,
     _ONE_PACK_MAX_BYTES,
     ONE,
     ZERO,
@@ -21,6 +20,7 @@ from qheis.qscalar import (
     _int_divmod,
     _int_pseudo_rem,
     _integer_coefficients,
+    _kronecker,
     _pdiv_exact,
     _pgcd,
     _pmul,
@@ -480,7 +480,7 @@ def test_a_constant_operand_skips_the_remainder_sequence(monkeypatch):
     assert calls
 
 
-# -- the Kronecker-substitution product against the schoolbook loop -----------
+# -- the integer products against the Fraction schoolbook loop -----------------
 
 _BIG = 10**40
 _COEFFS = (st.fractions(min_value=-9, max_value=9, max_denominator=12)
@@ -503,31 +503,26 @@ def test_kronecker_product_equals_schoolbook(a, b):
     assert _pmul(a, b) == pmul_schoolbook(a, b)
 
 
-# pair counts just below, at and above the threshold
-_PAIRS = _KRONECKER_MIN_PAIRS
+# fixed operand sizes: products of about 500 to 2,000 term pairs
+_PAIRS = 512
 _SIDE = isqrt(_PAIRS)
 
 
 @pytest.mark.parametrize("sizes", [(_SIDE, (_PAIRS - 1) // _SIDE), (_SIDE + 1, _SIDE + 1),
                                    (1, _PAIRS), (1, _PAIRS - 1), (2 * _SIDE, 2 * _SIDE)])
-def test_kronecker_product_on_both_sides_of_the_threshold(sizes, monkeypatch):
-    packs = []
-    kronecker = qscalar._kronecker
-    monkeypatch.setattr(qscalar, "_kronecker", lambda *args: packs.append(1) or kronecker(*args))
+def test_kronecker_product_on_both_sides_of_the_threshold(sizes):
     rng = random.Random(sum(sizes))
     for _ in range(20):
         a, b = ({e: Fraction(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**3))
                  for e in rng.sample(range(-2 * _PAIRS, 2 * _PAIRS + 1), n)} for n in sizes)
         assert _pmul(a, b) == pmul_schoolbook(a, b)
-    # only a product of at least _KRONECKER_MIN_PAIRS term pairs is packed
-    assert len(packs) == (20 if sizes[0] * sizes[1] >= _PAIRS else 0)
 
 
 @st.composite
 def product_operands(draw):
     # integer or fractional coefficients, on random operands or on a pair whose
     # product cancels every term but its two ends; pair counts from 1 to about
-    # twice the threshold
+    # twice _PAIRS
     integral, cancel = draw(st.booleans()), draw(st.booleans())
     rng = draw(st.randoms(use_true_random=False))
 
@@ -563,19 +558,25 @@ def test_integer_product_equals_the_fraction_schoolbook(operands):
 @pytest.mark.parametrize("sizes", [(1, _PAIRS), (_SIDE + 1, _SIDE + 1), (3, _PAIRS // 3 + 1)])
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
 def test_kronecker_product_at_the_digit_bound(nbytes, sizes, past_edge, signs, den):
-    # equal coefficients on consecutive exponents put n*A*B, the bound
-    # max|a| * max|b| * min(len a, len b) itself, in the middle of the product:
-    # the largest such value that fits an nbytes-byte signed digit, or the
-    # smallest that does not
+    # the two-factor pack of the chained power product, on operands scaled to
+    # integers as _power_product scales them: equal coefficients on
+    # consecutive exponents put n*A*B, the bound max|a| * max|b| * min(len a,
+    # len b) itself, in the middle of the product, the largest such value (A
+    # coprime to den, so scaling keeps it) that fits an nbytes-byte signed
+    # digit, or the smallest that does not
     n = min(sizes)
     edge = 1 << (8 * nbytes - 1)
     big = -(-edge // n) if past_edge else (edge - 1) // n
+    while gcd(big, den) > 1:
+        big += 1 if past_edge else -1
     a = {e: Fraction(signs[0] * big, den) for e in range(-3, sizes[0] - 3)}
     b = {e: Fraction(signs[1], den) for e in range(5, sizes[1] + 5)}
-    got = _pmul(a, b)
+    pair = [(_integer_coefficients(a)[1], 1), (_integer_coefficients(b)[1], 1)]
+    assert _digit_bytes(pair) == nbytes + past_edge
+    got = _kronecker(pair, _digit_bytes(pair))
     peak = max(got.values(), key=abs)
-    assert abs(peak) * den * den == n * big and (n * big >= edge) == past_edge
-    assert got == pmul_schoolbook(a, b)
+    assert abs(peak) == n * big and (n * big >= edge) == past_edge
+    assert got == pmul_schoolbook(*(p for p, _ in pair))
 
 
 @settings(max_examples=60, deadline=None)
@@ -713,8 +714,19 @@ def test_power_product_of_laurent_factors_and_its_validation():
     assert power_product(pairs, -6) == -6 * qint(3) ** 4 * Scalar({-2: 1, 2: Fraction(-1, 2)}) ** 3
     assert power_product([], 5) == 5 and power_product([(ZERO, 2)]) == ZERO
     assert power_product([(ZERO, 0)]) == ONE
-    with pytest.raises(ValueError, match="nonnegative"):
-        power_product([(qint(2), -1)])
+    for k in (-1, 1.5, 2.0, Fraction(2)):
+        with pytest.raises(ValueError, match="nonnegative int exponents"):
+            power_product([(qint(2), k)])
+    # a zero count would build the zero polynomial with every coefficient 0
+    for count in (0, Fraction(2), 2.0, "2", None):
+        with pytest.raises(ValueError, match="nonzero int count"):
+            power_product([(qint(3), 2)], count)
+    # one pair needs no gcd; two pairs whose numerator and denominator share
+    # a factor do
+    x = qint(2) / qint(3)
+    assert power_product([(x, 3)], 2) == 2 * x * x * x
+    assert power_product([(x, 2), (qint(3), 2)]) == qint(2) ** 2
+    assert power_product([(x, 1), (ONE / x, 1), (qint(5), 0)], -1) == -1
 
 
 def poly_str_fraction(p):

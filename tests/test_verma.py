@@ -5,7 +5,7 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import convolve, load_benchmark_oracle, partition_table
+from oracles import convolve, load_benchmark_oracle, partition_pentagonal, partition_table
 
 import qheis.verma as verma
 from qheis.heisenberg import central_bracket
@@ -313,14 +313,17 @@ def test_partition_function_values():
 
 
 def test_pentagonal_partition_table_equals_the_part_by_part_table(monkeypatch):
-    # grown on demand from p(0) alone, out of order, against the table that
-    # adds one part size at a time
-    monkeypatch.setattr(verma, "_PARTITIONS", [1])
+    # partition_count reads the rank-1 divisor-sum table, grown on demand from
+    # p(0) alone and out of order, against the pentagonal recurrence and the
+    # table that adds one part size at a time
+    monkeypatch.setattr(verma, "_PARTITION_SERIES", {})
+    monkeypatch.setattr(verma, "_DIVISOR_SUMS", [0])
     want = partition_table(500)
+    assert partition_pentagonal(500) == want
     for n in (37, 500, 12, 499, 0):
         assert partition_count(n) == want[n]
     assert [partition_count(n) for n in range(501)] == want
-    assert len(verma._PARTITIONS) == 501
+    assert len(verma._PARTITION_SERIES[1]) == 501
 
 
 # -- one geometric factor at a time, against the dense convolution -----------

@@ -3,7 +3,14 @@ import random
 import pytest
 
 from qheis.cartan import load_type
-from qheis.heisenberg import StructureConvention, ZeroLevel, oscillator_table
+from qheis.heisenberg import (
+    HeisenbergAlgebra,
+    StructureConvention,
+    ZeroLevel,
+    oscillator_table,
+    report_to_json,
+    structure_constant,
+)
 from qheis.qscalar import ONE, qint, s_power
 from qheis.termalg import (
     AlgebraElement,
@@ -24,6 +31,17 @@ from qheis.weyliso import (
     verify_weyl_iso,
     weyl_relation_table,
 )
+
+
+def test_a_convention_string_verifies_as_its_member():
+    # on a cold cache the string call stores the constants its member reads
+    structure_constant.cache_clear()
+    cd = load_type("G", 2)
+    qj = StructureConvention.QJ_BRACKET
+    checks = verify_weyl_iso(cd, 2, 1, convention="paper")
+    assert report_to_json(checks) == report_to_json(verify_weyl_iso(cd, 2, 1, qj))
+    assert str(structure_constant(HeisenbergAlgebra(cd, qj, 2), 1, 1, 1)) == \
+        "s^18 + s^6 / s^24 + s^12 + 1"
 
 
 def test_weyl_table_relations():
