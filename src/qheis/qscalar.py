@@ -356,8 +356,12 @@ class Scalar:
         if other is None:
             return NotImplemented
         d1, d2 = self._den, other._den
-        if max(d1) == 0 and max(d2) == 0:
-            return Scalar._reduced(_padd(self._num, other._num), {0: Fraction(1)})
+        if d1 == d2:
+            # only gcd(a + b, d) can cancel; a Laurent sum is the case d = 1
+            num = _padd(self._num, other._num)
+            if not num:
+                return ZERO
+            return Scalar._reduced(*_coprime(num, d1))
         g = _pgcd(d1, d2)
         if max(g) == 0:
             num = _padd(_pmul(self._num, d2), _pmul(other._num, d1))

@@ -130,21 +130,25 @@ class IrreducibilityReport:
     gram_dets: tuple
 
 
-_DIVISOR_SUMS = [0]
 _PARTITION_SERIES = {}
 
 
 def partition_series(rank: int, far: int) -> list:
     """[a(0), ..., a(far), ...]: the coefficients of prod_{m >= 1} (1 - x^m)^(-rank),
-    from t a(t) = rank * sum_{j=1..t} sigma(j) a(t - j), sigma the divisor sum,
-    on one table per rank that grows on demand.  No coefficient at t <= far
-    depends on where the product is cut, so every window shares the table."""
-    sigma = _DIVISOR_SUMS
-    for j in range(len(sigma), far + 1):
-        sigma.append(sum(d for d in range(1, j + 1) if j % d == 0))
+    on one table per rank that grows on demand.  Miller's power recurrence on
+    Euler's series prod (1 - x^m) = sum_k p_k x^k gives
+    t a(t) = sum_{k <= t} ((1 - rank) k - t) p_k a(t - k), with k the
+    generalized pentagonal numbers j(3j -+ 1)/2 and p_k = (-1)^j, so a(t)
+    costs O(sqrt t) steps.  No coefficient at t <= far depends on where the
+    product is cut, so every window shares the table."""
     a = _PARTITION_SERIES.setdefault(rank, [1])
+    euler, j = [], 1
+    while (k := j * (3 * j - 1) // 2) <= far:
+        p = -1 if j % 2 else 1
+        euler += [(k, p), (k + j, p)]
+        j += 1
     for t in range(len(a), far + 1):
-        a.append(rank * sum(sigma[j] * a[t - j] for j in range(1, t + 1)) // t)
+        a.append(sum(((1 - rank) * k - t) * p * a[t - k] for k, p in euler if k <= t) // t)
     return a
 
 

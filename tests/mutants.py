@@ -72,6 +72,12 @@ MUTANTS = [
      [QSCALAR + "test_power_product_of_laurent_factors_and_its_validation"]),
     ("qscalar.py", "if len(live) > 1 and num:", "if len(live) > 2 and num:",
      [QSCALAR + "test_power_product_of_laurent_factors_and_its_validation"]),
+    # a sum over a shared denominator: the cancel skipped, and a zero sum sent
+    # into the cancel step
+    ("qscalar.py", "return Scalar._reduced(*_coprime(num, d1))", "return Scalar._reduced(num, d1)",
+     [QSCALAR + "test_a_sum_over_a_shared_denominator_equals_the_general_sum"]),
+    ("qscalar.py", "            if not num:\n                return ZERO\n", "",
+     [QSCALAR + "test_a_sum_over_a_shared_denominator_equals_the_general_sum"]),
     # the one cancel step divides the numerator by the gcd too
     ("qscalar.py", "flat, den = _pdiv_exact(flat, g), _pdiv_exact(den, g)",
      "den = _pdiv_exact(den, g)",
@@ -86,13 +92,18 @@ MUTANTS = [
      [LOOP + "test_mixed_series_is_the_product_of_the_node_counts"]),
     ("verma.py", "@lru_cache(maxsize=None)\ndef _factor_product", "def _factor_product",
      [VERMA + "test_one_signature_spelled_two_ways_shares_one_count_table"]),
-    # the one partition table: sigma without j itself and the rank dropped
-    # from the recurrence; and the constant-sign window read one short
-    ("verma.py", "for d in range(1, j + 1) if j % d == 0", "for d in range(1, j) if j % d == 0",
-     [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window",
+    # the one partition table: Miller's factor (1 - rank) with the sign
+    # flipped, the pentagonal signs flipped and every second pentagonal number
+    # dropped; and the constant-sign window read one short
+    ("verma.py", "(1 - rank) * k - t", "(1 + rank) * k - t",
+     [VERMA + "test_power_recurrence_table_equals_the_divisor_sum_table",
+      LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
+    ("verma.py", "p = -1 if j % 2 else 1", "p = 1 if j % 2 else -1",
+     [VERMA + "test_power_recurrence_table_equals_the_divisor_sum_table",
       VERMA + "test_pentagonal_partition_table_equals_the_part_by_part_table"]),
-    ("verma.py", "a.append(rank * sum(", "a.append(sum(",
-     [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
+    ("verma.py", "euler += [(k, p), (k + j, p)]", "euler += [(k, p)]",
+     [VERMA + "test_power_recurrence_table_equals_the_divisor_sum_table",
+      LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
     ("loopweights.py", "for t in range(max(near, 0), far + 1)}", "for t in range(max(near, 0), far)}",
      [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
     ("loopweights.py", "if _mixed(phis) or any(report.beta):", "if _mixed(phis):",

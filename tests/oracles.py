@@ -88,6 +88,17 @@ def inverse_euler_cut(rank, far):
     return coeffs
 
 
+def inverse_euler_divisor_sums(rank, far):
+    """[a(0), ..., a(far)] of prod_{m >= 1} (1 - x^m)^(-rank) from
+    t a(t) = rank * sum_{j=1..t} sigma(j) a(t - j), sigma the divisor sum
+    found by trial division: O(far^2) steps."""
+    sigma = [0] + [sum(d for d in range(1, j + 1) if j % d == 0) for j in range(1, far + 1)]
+    a = [1]
+    for t in range(1, far + 1):
+        a.append(rank * sum(sigma[j] * a[t - j] for j in range(1, t + 1)) // t)
+    return a
+
+
 def partition_table(n):
     """[p(0), ..., p(n)], the partition numbers, by adding one part size at a time."""
     table = [1] + [0] * n

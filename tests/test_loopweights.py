@@ -280,7 +280,6 @@ def test_constant_series_table_equals_the_product_cut_at_each_window(rank, monke
     # one table per rank, grown from empty by windows that move out, back in
     # and out again, against the product cut afresh at each window's far end
     monkeypatch.setattr(verma, "_PARTITION_SERIES", {})
-    monkeypatch.setattr(verma, "_DIVISOR_SUMS", [0])
     windows = [(k - 10, k + 10) for k in range(-70, 71, 7)] + [(0, 0), (4, 2), (-80, 80)]
     for sign, side in (("-", 1), ("+", -1)):
         phis = [PhiSignature.parse(sign)] * rank

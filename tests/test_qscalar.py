@@ -1,13 +1,15 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import pdiv_exact, pmul_schoolbook, pseudo_rem
 
 import qheis.qscalar as qscalar
+from qheis.cli import run
 from qheis.qscalar import (
     _ONE_PACK_MAX_BYTES,
     ONE,
@@ -21,9 +23,11 @@ from qheis.qscalar import (
     _int_pseudo_rem,
     _integer_coefficients,
     _kronecker,
+    _padd,
     _pdiv_exact,
     _pgcd,
     _pmul,
+    _pneg,
     _poly_str,
     _power_product,
     power_product,
@@ -760,3 +764,71 @@ def test_poly_str_equals_the_fraction_formatter(x, p):
     for part in (x.num_terms, x.den_terms):
         assert _poly_str(part) == poly_str_fraction(part)
     assert str(x) == poly_str_fraction(x.num_terms) + " / " + poly_str_fraction(x.den_terms)
+
+
+# -- a sum over a shared denominator against the general sum -------------------
+
+_LAURENT = st.dictionaries(st.integers(-4, 4), _SMALL, min_size=1, max_size=5).map(
+    lambda p: {e: c for e, c in p.items() if c} or {0: Fraction(1)})
+_NONCONSTANT = ordinary_polys(3).filter(lambda p: max(p) > 0)
+
+
+@st.composite
+def shared_denominator_operands(draw):
+    # (a, b, d) with d = 1 or an ordinary non-constant d; a + b is free, zero,
+    # or a multiple of a factor planted in d
+    a = draw(_LAURENT)
+    d = draw(st.just({0: Fraction(1)}) | _NONCONSTANT)
+    case = draw(st.sampled_from(["free", "zero", "planted"]))
+    if case == "free":
+        return a, draw(_LAURENT), d
+    if case == "zero":
+        return a, _pneg(a), d
+    g = draw(_NONCONSTANT)
+    total = pmul_schoolbook(g, draw(_LAURENT))
+    return a, _padd(total, _pneg(a)) or total, pmul_schoolbook(d, g)
+
+
+def value(p, s):
+    return sum((c * s ** e for e, c in p.items()), Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_denominator_operands())
+def test_a_sum_over_a_shared_denominator_equals_the_general_sum(operands):
+    a, b, d = operands
+    x, y = Scalar(a, d), Scalar(b, d)
+    assume(x.den_terms == y.den_terms)
+    total = x + y
+    assert_canonical(total)
+    assert total == Scalar(_padd(a, b), d)
+    for s in (Fraction(2), Fraction(5, 3)):
+        assume(value(d, s))
+        got = value(total.num_terms, s) / value(total.den_terms, s)
+        assert got == (value(a, s) + value(b, s)) / value(d, s)
+
+
+# -- kernel calls of two fixed commands ------------------------------------------
+
+@pytest.mark.parametrize("argv, want", [
+    ("heis-verify --type B --rank 3 --max-k 2", {"_pgcd": 2051, "_pdiv_exact": 388, "_pmul": 2480}),
+    ("weyl-verify --type G --rank 2 --level -2 --max-k 3",
+     {"_pgcd": 264, "_pdiv_exact": 116, "_pmul": 996}),
+])
+def test_kernel_call_counts_of_two_fixed_commands(argv, want, monkeypatch):
+    # the counts repeat exactly, so more kernel work on either command shows
+    # where timings are too noisy to; every cache starts empty, as in a fresh
+    # process
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qheis."):
+            for f in vars(module).values():
+                if hasattr(f, "cache_clear"):
+                    f.cache_clear()
+    counts = dict.fromkeys(want, 0)
+    for name in want:
+        def counted(*args, _name=name, _kernel=getattr(qscalar, name)):
+            counts[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(qscalar, name, counted)
+    assert run(argv.split()) == 0
+    assert counts == want

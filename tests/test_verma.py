@@ -5,7 +5,14 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import convolve, load_benchmark_oracle, partition_pentagonal, partition_table
+from oracles import (
+    convolve,
+    inverse_euler_cut,
+    inverse_euler_divisor_sums,
+    load_benchmark_oracle,
+    partition_pentagonal,
+    partition_table,
+)
 
 import qheis.verma as verma
 from qheis.heisenberg import central_bracket
@@ -313,17 +320,28 @@ def test_partition_function_values():
 
 
 def test_pentagonal_partition_table_equals_the_part_by_part_table(monkeypatch):
-    # partition_count reads the rank-1 divisor-sum table, grown on demand from
-    # p(0) alone and out of order, against the pentagonal recurrence and the
-    # table that adds one part size at a time
+    # partition_count reads the rank-1 table, grown on demand from p(0) alone
+    # and out of order, against the pentagonal recurrence and the table that
+    # adds one part size at a time
     monkeypatch.setattr(verma, "_PARTITION_SERIES", {})
-    monkeypatch.setattr(verma, "_DIVISOR_SUMS", [0])
     want = partition_table(500)
     assert partition_pentagonal(500) == want
     for n in (37, 500, 12, 499, 0):
         assert partition_count(n) == want[n]
     assert [partition_count(n) for n in range(501)] == want
     assert len(verma._PARTITION_SERIES[1]) == 501
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_power_recurrence_table_equals_the_divisor_sum_table(rank, monkeypatch):
+    # Miller's recurrence on Euler's series, grown from a(0) in three steps,
+    # against the divisor-sum recurrence and the product cut at degree 300
+    monkeypatch.setattr(verma, "_PARTITION_SERIES", {})
+    want = inverse_euler_divisor_sums(rank, 300)
+    assert want == inverse_euler_cut(rank, 300)
+    for far in (7, 0, 300, 150):
+        assert verma.partition_series(rank, far)[:far + 1] == want[:far + 1]
+    assert len(verma._PARTITION_SERIES[rank]) == 301
 
 
 # -- one geometric factor at a time, against the dense convolution -----------
