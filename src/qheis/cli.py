@@ -200,12 +200,12 @@ def _cmd_loop_mult(args):
     else:
         ks = [0 if args.k is None else args.k]
     trunc = Truncation(args.max_index, args.max_exp)
+    phi = PhiSignature.parse(args.phi)
     if args.vdims is not None:
         vdims = _parse_vdims(args.vdims)
         reports = [weight_multiplicity(cd, beta, k, vdims, args.window).to_json()
                    for k in ks]
     else:
-        phi = PhiSignature.parse(args.phi)
         reports = [phi_verma_weight_dim(cd, phi, beta, k, args.window, trunc).to_json()
                    for k in ks]
     obj = reports if args.k_sweep is not None else reports[0]

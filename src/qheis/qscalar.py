@@ -366,18 +366,13 @@ class Scalar:
         if max(g) == 0:
             num = _padd(_pmul(self._num, d2), _pmul(other._num, d1))
             return Scalar._reduced(num, _pmul(d1, d2))
-        d1g = _pdiv_exact(d1, g)
-        d2g = _pdiv_exact(d2, g)
+        d1g, d2g = _pdiv_exact(d1, g), _pdiv_exact(d2, g)
         num = _padd(_pmul(self._num, d2g), _pmul(other._num, d1g))
-        den = _pmul(d1, d2g)
-        if num:
-            val = min(num)
-            flat = _pshift(num, -val)
-            h = _pgcd(flat, g)
-            if max(h) > 0:
-                num = _pshift(_pdiv_exact(flat, h), val)
-                den = _pdiv_exact(den, h)
-        return Scalar._reduced(num, den)
+        if not num:
+            return ZERO
+        # Henrici: only a factor of g can cancel
+        num, g = _coprime(num, g)
+        return Scalar._reduced(num, _pmul(d1g, _pmul(d2g, g)))
 
     __radd__ = __add__
 

@@ -218,8 +218,6 @@ def _reduce(pending, table, strategy="leftmost"):
     done = {}
     while pending:
         (word, g), coeff = pending.popitem()
-        if coeff.is_zero:
-            continue
         i = _find_descent(word, key, strategy)
         if i is None:
             _bump(done, (word, g), coeff)

@@ -320,29 +320,18 @@ class VermaModule:
             raise ValueError("gamma must be specialized to a level")
         return central_bracket(i, self.level)[0]
 
-    def _index_pair(self, i: int, e: int, f: int) -> Scalar:
-        """Wick's formula: the raising power empties the lowering one in e! ways,
-        each contracting to [raise, lower] = phi(i) c_i, and only when e == f."""
-        if e != f:
-            return ZERO
-        return factorial(e) * (self.phi(i) * self._pairing_scalar(i)) ** e
-
     def vacuum_pairing(self, u_exps, w_exps) -> Scalar:
-        """<u v, w v>: the coefficient of the highest vector in sigma(u) w v.
-
-        Generators of distinct indices commute and only pair within an index,
-        so the coefficient factors into single-index Wick factors, and the
-        pairing vanishes between distinct monomials.
-        """
-        out = ONE
-        for i, (e, f) in enumerate(zip(u_exps, w_exps), start=1):
-            if e == 0 and f == 0:
-                continue
-            factor = self._index_pair(i, e, f)
-            if factor.is_zero:
-                return ZERO
-            out = out * factor
-        return out
+        """<u v, w v>: the coefficient of the highest vector in sigma(u) w v,
+        with each raising generator of sigma(u) applied to w through act."""
+        out, vec = ONE, tuple(w_exps)
+        for i, e in enumerate(u_exps, start=1):
+            for _ in range(e):
+                image = self.act(-self.lowering_degree(i), vec)
+                if not image:
+                    return ZERO
+                (vec, coeff), = image.items()
+                out = out * coeff
+        return ZERO if any(vec) else out
 
     def gram_matrix(self, n: int):
         basis = self.basis_component(n)

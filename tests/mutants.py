@@ -78,6 +78,13 @@ MUTANTS = [
      [QSCALAR + "test_a_sum_over_a_shared_denominator_equals_the_general_sum"]),
     ("qscalar.py", "            if not num:\n                return ZERO\n", "",
      [QSCALAR + "test_a_sum_over_a_shared_denominator_equals_the_general_sum"]),
+    # a sum over unequal denominators: Henrici's cancel step skipped
+    ("qscalar.py", "        num, g = _coprime(num, g)\n", "",
+     [QSCALAR + "test_a_sum_over_unequal_denominators_equals_the_unreduced_quotient"]),
+    # the pairing through act: a vector that does not reach the highest
+    # vector pairs to its product all the same
+    ("verma.py", "return ZERO if any(vec) else out", "return out",
+     [VERMA + "test_vacuum_pairing_factored_equals_full_reduction"]),
     # the one cancel step divides the numerator by the gcd too
     ("qscalar.py", "flat, den = _pdiv_exact(flat, g), _pdiv_exact(den, g)",
      "den = _pdiv_exact(den, g)",

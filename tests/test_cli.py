@@ -445,6 +445,15 @@ def test_vdims_accepts_inf_and_zero(capsys):
     assert capsys.readouterr().out == "k,count,verdict\n0,0,INFINITE\n"
 
 
+@pytest.mark.parametrize("inducing", [[], ["--vdims", '{"0": 1}']], ids=["phi", "vdims"])
+def test_invalid_phi_is_a_usage_error_with_or_without_vdims(inducing, capsys):
+    # --phi is checked even where --vdims gives the inducing dimensions
+    assert run(["loop-mult", "--type", "A", "--rank", "1", "--beta", "1", "--phi=x",
+                *inducing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad sign character in 'x'" in captured.err
+
+
 def test_negative_window_is_a_usage_error(capsys):
     argv = ["loop-mult", "--type", "A", "--rank", "1", "--beta", "0", "--window"]
     assert run(argv + ["-1"]) == 2

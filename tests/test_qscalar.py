@@ -1,5 +1,5 @@
+import json
 import random
-import sys
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import pdiv_exact, pmul_schoolbook, pseudo_rem
+from pin_op_counts import GOLDEN, JOBS, count_ops
 
 import qheis.qscalar as qscalar
-from qheis.cli import run
 from qheis.qscalar import (
     _ONE_PACK_MAX_BYTES,
     ONE,
@@ -808,27 +808,43 @@ def test_a_sum_over_a_shared_denominator_equals_the_general_sum(operands):
         assert got == (value(a, s) + value(b, s)) / value(d, s)
 
 
-# -- kernel calls of two fixed commands ------------------------------------------
+# -- a sum over unequal denominators against the unreduced quotient ------------
 
-@pytest.mark.parametrize("argv, want", [
-    ("heis-verify --type B --rank 3 --max-k 2", {"_pgcd": 2051, "_pdiv_exact": 388, "_pmul": 2480}),
-    ("weyl-verify --type G --rank 2 --level -2 --max-k 3",
-     {"_pgcd": 264, "_pdiv_exact": 116, "_pmul": 996}),
-])
+@st.composite
+def unequal_denominator_operands(draw):
+    # (a, d1, b, d2) with d1 = g e1, d2 = g e2 and e2 = e1 + g m; b = g t - a
+    # makes a e2 + b e1 = g (a m + t e1), so the sum carries a factor of the
+    # shared g, the only factor that can cancel
+    g, m = draw(_NONCONSTANT), draw(_NONCONSTANT)
+    e1 = draw(st.just({0: Fraction(1)}) | _NONCONSTANT)
+    e2 = _padd(e1, pmul_schoolbook(g, m))
+    a = draw(_LAURENT)
+    b = _padd(pmul_schoolbook(g, draw(_LAURENT)), _pneg(a))
+    assume(e2 and b)
+    return a, pmul_schoolbook(g, e1), b, pmul_schoolbook(g, e2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unequal_denominator_operands())
+def test_a_sum_over_unequal_denominators_equals_the_unreduced_quotient(operands):
+    a, d1, b, d2 = operands
+    x, y = Scalar(a, d1), Scalar(b, d2)
+    # Henrici's route: unequal denominators with a nonconstant common factor
+    assume(x.den_terms != y.den_terms and max(_pgcd(x.den_terms, y.den_terms)) > 0)
+    total = x + y
+    assert_canonical(total)
+    assert total == Scalar(_padd(pmul_schoolbook(a, d2), pmul_schoolbook(b, d1)),
+                           pmul_schoolbook(d1, d2))
+
+
+# -- operation counts of every benchmark job ------------------------------------
+
+OP_COUNTS = json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("argv, want", [(key, OP_COUNTS.get(key)) for key in JOBS])
 def test_kernel_call_counts_of_two_fixed_commands(argv, want, monkeypatch):
-    # the counts repeat exactly, so more kernel work on either command shows
-    # where timings are too noisy to; every cache starts empty, as in a fresh
-    # process
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qheis."):
-            for f in vars(module).values():
-                if hasattr(f, "cache_clear"):
-                    f.cache_clear()
-    counts = dict.fromkeys(want, 0)
-    for name in want:
-        def counted(*args, _name=name, _kernel=getattr(qscalar, name)):
-            counts[_name] += 1
-            return _kernel(*args)
-        monkeypatch.setattr(qscalar, name, counted)
-    assert run(argv.split()) == 0
-    assert counts == want
+    # two fixed commands, then every benchmark pool job; each starts with every
+    # cache empty, as in a fresh process (tests/pin_op_counts.py rewrites them)
+    monkeypatch.delenv("QAFF_FORMAT", raising=False)
+    assert count_ops(JOBS[argv]) == (0, want)
