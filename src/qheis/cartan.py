@@ -1,12 +1,12 @@
 """Affine Cartan data for the untwisted series and the finite root systems.
 
 The affine matrix is assembled uniformly: the finite Cartan matrix of the
-given series, the finite positive roots by reflection closure, and the
-extra node attached through the highest root in closed form.  The finite
-symmetrizers are computed from the matrix itself (they are determined up
-to the coprimality normalization) and the extra node takes the highest
-root's, so no per-type tables are hard-coded; known tables serve only as
-test oracles.
+given series, read off one table of Dynkin diagrams, the finite positive
+roots by reflection closure, and the extra node attached through the
+highest root in closed form.  The finite symmetrizers are computed from the
+matrix itself (they are determined up to the coprimality normalization) and
+the extra node takes the highest root's, so the diagrams are the only
+per-type table; known matrices serve only as test oracles.
 """
 
 from __future__ import annotations
@@ -25,52 +25,29 @@ class IndexOutOfRange(IndexError):
     pass
 
 
-_RANK_OK = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 3,
-    "C": lambda n: n >= 2,
-    "D": lambda n: n >= 4,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
-}
-
-
 def _finite_gcm(series, n):
+    # Kac, Table Fin, on nodes 1..n.  Each series gives its valid ranks, its
+    # fork (a node left off the chain of simple bonds, and the node it hangs
+    # on: D hangs node n on node n - 2, E node 2 on node 4), and its one
+    # multiple bond as (row, column, a_ij)
+    valid, fork, bond = {
+        "A": (n >= 1, None, None),
+        "B": (n >= 3, None, (n, n - 1, -2)),
+        "C": (n >= 2, None, (n - 1, n, -2)),
+        "D": (n >= 4, (n, n - 2), None),
+        "E": (n in (6, 7, 8), (2, 4), None),
+        "F": (n == 4, None, (3, 2, -2)),
+        "G": (n == 2, None, (2, 1, -3)),
+    }.get(series, (False, None, None))
+    if not valid:
+        raise InvalidType(f"unsupported untwisted type {series}_{n}")
+    chain = [i for i in range(1, n + 1) if not fork or i != fork[0]]
     A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def link(i, j, aij=-1, aji=-1):
-        # 1-based node labels
+    for i, j in list(zip(chain, chain[1:])) + ([fork] if fork else []):
+        A[i - 1][j - 1] = A[j - 1][i - 1] = -1
+    if bond:
+        i, j, aij = bond
         A[i - 1][j - 1] = aij
-        A[j - 1][i - 1] = aji
-
-    if series in ("A", "B", "C"):
-        for i in range(1, n):
-            link(i, i + 1)
-        if series == "B":
-            A[n - 1][n - 2] = -2  # last node short
-        if series == "C":
-            A[n - 2][n - 1] = -2  # last node long
-    elif series == "D":
-        for i in range(1, n - 1):
-            link(i, i + 1)
-        link(n - 2, n)
-    elif series == "E":
-        edges = [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)]
-        if n >= 7:
-            edges.append((6, 7))
-        if n == 8:
-            edges.append((7, 8))
-        for i, j in edges:
-            link(i, j)
-    elif series == "F":
-        link(1, 2)
-        link(2, 3)
-        link(3, 4)
-        A[2][1] = -2  # nodes 3,4 short
-    elif series == "G":
-        link(1, 2)
-        A[1][0] = -3  # node 2 short
     return A
 
 
@@ -160,9 +137,6 @@ class CartanData:
 
 def load_type(series: str, rank: int) -> CartanData:
     """The standard untwisted affine Cartan data for the given series and rank."""
-    check = _RANK_OK.get(series)
-    if check is None or not check(rank):
-        raise InvalidType(f"unsupported untwisted type {series}_{rank}")
     fin = tuple(map(tuple, _finite_gcm(series, rank)))
     fd = _symmetrizers(fin)
     theta = _positive_roots(fin)[-1]  # unique root of maximal height, a long root

@@ -3,10 +3,10 @@
 Exit codes: 0 on success and on verification PASS, 1 on verification FAIL
 (residues are printed), 2 on usage errors, 3 when exact arithmetic fails (a
 division by zero, a pole at q = 1, a singular matrix or an inexact polynomial
-division; no valid input is known to reach it), and 141 (128 + SIGPIPE) when
-the reader closes stdout early.  Output goes to stdout in the
-requested format (json or table); diagnostics go to stderr.  The QAFF_FORMAT
-environment variable overrides the default output format.
+division; no valid input is known to reach it), 4 when memory runs out, and
+141 (128 + SIGPIPE) when the reader closes stdout early.  Output goes to stdout
+in the requested format (json or table); diagnostics go to stderr.  The
+QAFF_FORMAT environment variable overrides the default output format.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import re
 import sys
 
-from .cartan import InvalidType, load_type, positive_roots
+from .cartan import load_type, positive_roots
 from .heisenberg import (
     HeisenbergAlgebra,
     StructureConvention,
@@ -339,12 +339,15 @@ def run(argv) -> int:
         if args.format not in ("json", "table"):
             raise ValueError(f"QAFF_FORMAT must be json or table, got {args.format!r}")
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except (InvalidType, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: arithmetic failure ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory: the input needs more memory than is available", file=sys.stderr)
+        return 4
 
 
 def main(argv=None) -> int:

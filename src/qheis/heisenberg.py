@@ -127,8 +127,8 @@ def primed_generators(alg: HeisenbergAlgebra, k: int):
 def relation_table(alg: HeisenbergAlgebra) -> RelationTable:
     """The defining presentation on the unprimed generators.
 
-    The bracket is evaluated with the positive-degree generator on the left
-    and extended by antisymmetry; only opposite degrees pair.
+    Only opposite degrees pair.  The structure constant is read with the positive
+    degree first; the gamma bracket of the left degree, odd in k, signs either order.
     """
 
     def comm(a: GenId, b: GenId):
@@ -136,37 +136,30 @@ def relation_table(alg: HeisenbergAlgebra) -> RelationTable:
             raise ValueError(f"unexpected generators {a!r}, {b!r} in loop presentation")
         if a.degree + b.degree != 0:
             return {}
-        if a.degree > 0:
-            c = structure_constant(alg, a.node, b.node, a.degree)
-            return {g: c * v for g, v in gamma_bracket(a.degree, alg.level).items()}
-        c = structure_constant(alg, b.node, a.node, b.degree)
-        return {g: -(c * v) for g, v in gamma_bracket(b.degree, alg.level).items()}
+        pos, neg = (a, b) if a.degree > 0 else (b, a)
+        c = structure_constant(alg, pos.node, neg.node, pos.degree)
+        return {g: c * v for g, v in gamma_bracket(a.degree, alg.level).items()}
 
     return RelationTable(generator_key, comm)
 
 
 def oscillator_table(level: int | None = None) -> RelationTable:
-    """The decoupled presentation on {h positive, h' negative}."""
+    """The decoupled presentation on {h positive, h' negative}: h and h' on one node
+    in opposite degrees bracket to the gamma bracket of the left degree, odd in k."""
     if level == 0:
         raise ZeroLevel("level must be nonzero when specialized")
 
     def comm(a: GenId, b: GenId):
         fa, fb = a.flavor, b.flavor
+        if fa not in (FLAVOR_H, FLAVOR_HP) or fb not in (FLAVOR_H, FLAVOR_HP):
+            raise ValueError(f"unexpected generators {a!r}, {b!r} in decoupled presentation")
         if fa == FLAVOR_H and a.degree < 0 or fb == FLAVOR_H and b.degree < 0:
             raise ValueError("unprimed negative generator in the decoupled presentation")
         if fa == FLAVOR_HP and a.degree > 0 or fb == FLAVOR_HP and b.degree > 0:
             raise ValueError("primed positive generator in the decoupled presentation")
-        if fa == fb:
+        if fa == fb or a.node != b.node or a.degree + b.degree != 0:
             return {}
-        if fa == FLAVOR_H and fb == FLAVOR_HP:
-            if a.node == b.node and a.degree + b.degree == 0:
-                return gamma_bracket(a.degree, level)
-            return {}
-        if fa == FLAVOR_HP and fb == FLAVOR_H:
-            if a.node == b.node and a.degree + b.degree == 0:
-                return {g: -v for g, v in gamma_bracket(b.degree, level).items()}
-            return {}
-        return {}
+        return gamma_bracket(a.degree, level)
 
     return RelationTable(generator_key, comm)
 
@@ -200,8 +193,11 @@ def _check_relations(alg: HeisenbergAlgebra, max_k: int, relations):
     """One RelationCheck per relation and per (i, j, k, l) in [1, n]^2 x [1, max_k]^2.
 
     relations is a sequence of (name, fn); fn(i, j, k, l, primed) returns
-    (lhs, rhs, residue), where primed[(j, l)] is h'_{j,-l} expanded in the
-    unprimed generators.  Checks come in (i, j, k, l) order, then relation order.
+    (sides, expected), where primed[(j, l)] is h'_{j,-l} expanded in the
+    unprimed generators.  A check passes only when every side equals expected:
+    its lhs is the first side, its rhs the second side or else expected, and its
+    residue the first nonzero side - expected.  Checks come in (i, j, k, l) order,
+    then relation order.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
@@ -214,9 +210,12 @@ def _check_relations(alg: HeisenbergAlgebra, max_k: int, relations):
             for k in range(1, max_k + 1):
                 for l in range(1, max_k + 1):
                     for name, fn in relations:
-                        lhs, rhs, residue = fn(i, j, k, l, primed)
+                        sides, expected = fn(i, j, k, l, primed)
+                        residues = [side - expected for side in sides]
+                        residue = next((r for r in residues if not r.is_zero), residues[0])
+                        rhs = sides[1] if len(sides) > 1 else expected
                         checks.append(RelationCheck(
-                            f"{name}[i={i},j={j},k={k},l={l}]", lhs, rhs, residue))
+                            f"{name}[i={i},j={j},k={k},l={l}]", sides[0], rhs, residue))
     return checks
 
 
@@ -242,16 +241,14 @@ def verify_canonical_relations(alg: HeisenbergAlgebra, max_k: int):
         return AlgebraElement.from_gen(h_gen(i, k))
 
     def pairing(i, j, k, l, primed):
-        lhs, rhs = _pairing(alg, table, i, j, k, l, primed)
-        return lhs, rhs, lhs - rhs
+        lhs, expected = _pairing(alg, table, i, j, k, l, primed)
+        return (lhs,), expected
 
     def pos_commute(i, j, k, l, primed):
-        pos = commutator(h(i, k), h(j, l), table)
-        return pos, AlgebraElement.zero(), pos
+        return (commutator(h(i, k), h(j, l), table),), AlgebraElement.zero()
 
     def neg_commute(i, j, k, l, primed):
-        neg = commutator(primed[(i, k)], primed[(j, l)], table)
-        return neg, AlgebraElement.zero(), neg
+        return (commutator(primed[(i, k)], primed[(j, l)], table),), AlgebraElement.zero()
 
     return _check_relations(alg, max_k, [("pairing", pairing), ("pos-commute", pos_commute),
                                         ("neg-commute", neg_commute)])

@@ -59,9 +59,7 @@ def weyl_relation_table() -> RelationTable:
             raise ValueError(f"unexpected generators {a!r}, {b!r} in Weyl presentation")
         if fa == fb or a.node != b.node or a.degree != b.degree:
             return {}
-        if fa == FLAVOR_D:
-            return {0: ONE}
-        return {0: -ONE}
+        return {0: ONE if fa == FLAVOR_D else -ONE}
 
     return RelationTable(generator_key, comm)
 
@@ -144,16 +142,13 @@ def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,
 
     def pairing(i, j, k, l, primed):
         heis_side, expected = _pairing(alg, loop, i, j, k, l, primed)
-        weyl_side = commutator(d[(i, k)], x[(j, l)], weyl)
-        return heis_side, weyl_side, (heis_side - expected) + (weyl_side - expected)
+        return (heis_side, commutator(d[(i, k)], x[(j, l)], weyl)), expected
 
     def pos_commute(i, j, k, l, primed):
-        dd = commutator(d[(i, k)], d[(j, l)], weyl)
-        return dd, AlgebraElement.zero(), dd
+        return (commutator(d[(i, k)], d[(j, l)], weyl),), AlgebraElement.zero()
 
     def neg_commute(i, j, k, l, primed):
-        xx = commutator(x[(i, k)], x[(j, l)], weyl)
-        return xx, AlgebraElement.zero(), xx
+        return (commutator(x[(i, k)], x[(j, l)], weyl),), AlgebraElement.zero()
 
     return _check_relations(alg, max_k, [("weyl-pairing", pairing),
                                          ("weyl-pos-commute", pos_commute),

@@ -143,6 +143,27 @@ MUTANTS = [
      [QSCALAR + "test_gcd_is_primitive_and_divides_both_operands"]),
     ("qscalar.py", "    if max(a) == 0 or max(b) == 0:\n        return {0: 1}\n", "",
      [QSCALAR + "test_a_constant_operand_skips_the_remainder_sequence"]),
+    # the one Dynkin table: E's node 2 hung on node 3, and B's multiple bond
+    # written as C's
+    ("cartan.py", "(2, 4)", "(2, 3)",
+     [CARTAN + "test_cartan_data_has_the_invariants_of_its_type"]),
+    ("cartan.py", '"B": (n >= 3, None, (n, n - 1, -2)),', '"B": (n >= 3, None, (n - 1, n, -2)),',
+     [CARTAN + "test_affine_matrices_against_tables"]),
+    # one bracket branch per presentation: the structure constant read in the
+    # order given, and a generator of another presentation let through
+    ("heisenberg.py", "pos, neg = (a, b) if a.degree > 0 else (b, a)", "pos, neg = a, b",
+     [HEIS + "test_loop_table_antisymmetric_including_mixed_lengths"]),
+    ("heisenberg.py", "        if fa not in (FLAVOR_H, FLAVOR_HP) or fb not in (FLAVOR_H, FLAVOR_HP):\n"
+     "            raise ValueError(", "        if False:\n            raise ValueError(",
+     [HEIS + "test_oscillator_table_rejects_foreign_flavors"]),
+    # one residue rule: the sum of the side residues, where opposite errors
+    # cancel, and the first side read alone
+    ("heisenberg.py", "residue = next((r for r in residues if not r.is_zero), residues[0])",
+     "residue = sum(residues[1:], residues[0])",
+     [WEYL + "test_errors_on_the_two_sides_of_a_pairing_do_not_cancel"]),
+    ("heisenberg.py", "residues = [side - expected for side in sides]",
+     "residues = [sides[0] - expected]",
+     [WEYL + "test_verify_weyl_iso_checks_the_shipped_map"]),
     # a convention string becomes its member; the pairing expects the bracket
     # on the diagonal only, in both verifiers
     ("heisenberg.py",

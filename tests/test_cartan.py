@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qheis.cartan import IndexOutOfRange, InvalidType, load_type, positive_roots
@@ -183,3 +185,45 @@ def test_every_supported_type_of_rank_at_most_8_is_pinned(capsys):
     for case in cases:
         code = run(case["argv"])
         assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def _det(rows):
+    # exact Gaussian elimination over the rationals
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def _invariants():
+    # (series, rank, det of the finite Cartan matrix, which is the order of
+    # the weight lattice modulo the root lattice, and the number of positive
+    # roots), past the rank-8 golden for the classical series
+    for n in range(1, 17):
+        yield "A", n, n + 1, n * (n + 1) // 2
+        if n >= 2:
+            yield "C", n, 2, n * n
+        if n >= 3:
+            yield "B", n, 2, n * n
+        if n >= 4:
+            yield "D", n, 4, n * (n - 1)
+    yield from [("E", 6, 3, 36), ("E", 7, 2, 63), ("E", 8, 1, 120), ("F", 4, 1, 24),
+                ("G", 2, 1, 6)]
+
+
+@pytest.mark.parametrize("series,rank,det,roots", list(_invariants()))
+def test_cartan_data_has_the_invariants_of_its_type(series, rank, det, roots):
+    cd = load_type(series, rank)
+    assert _det(cd.finite_gcm) == det
+    assert len(positive_roots(cd)) == roots
+    assert _det(cd.gcm) == 0

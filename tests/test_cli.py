@@ -297,6 +297,26 @@ def test_closed_stdout_exits_quietly(unbuffered):
     assert err == b""
 
 
+def _address_space_of_512_mb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux only")
+@pytest.mark.parametrize("argv", [["cartan", "--type", "A", "--rank", "100000"],
+                                  ["qnum", "--n", "100000000000"]], ids=lambda argv: argv[0])
+def test_running_out_of_memory_exits_four_without_a_traceback(argv):
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.run([sys.executable, "-m", "qheis.cli", *argv], capture_output=True,
+                           text=True, env=env, timeout=120, preexec_fn=_address_space_of_512_mb)
+    assert child.returncode == 4
+    assert child.stdout == ""
+    assert child.stderr.startswith("error: out of memory") and child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr
+
+
 def test_package_has_no_assert_statement():
     # python -O strips assert, so no validation may rest on one
     for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):

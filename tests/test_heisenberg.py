@@ -22,7 +22,15 @@ from qheis.heisenberg import (
 )
 from qheis.linalg import identity, mat_mul
 from qheis.qscalar import ONE, qint, specialize_q1
-from qheis.termalg import AlgebraElement, a_gen, commutator, h_gen, normal_order
+from qheis.termalg import (
+    AlgebraElement,
+    a_gen,
+    commutator,
+    h_gen,
+    hp_gen,
+    normal_order,
+    x_gen,
+)
 
 QJ = StructureConvention.QJ_BRACKET
 PLAIN = StructureConvention.PLAIN_Q
@@ -253,5 +261,27 @@ def test_loop_table_antisymmetric_including_mixed_lengths():
 def test_loop_table_rejects_foreign_flavors():
     alg = HeisenbergAlgebra(load_type("A", 1))
     t = relation_table(alg)
+    with pytest.raises(ValueError):
+        t.central_commutator(a_gen(1), a_gen(-1))
+
+
+@pytest.mark.parametrize("level", [None, -2, 1, 3])
+def test_oscillator_table_antisymmetric(level):
+    # the table states [h_{ik}, h'_{i,-k}] once; the reverse order is its negative
+    t = oscillator_table(level)
+    for i in (1, 2):
+        for j in (1, 2):
+            for k in (1, 2, 3):
+                for l in (1, 2, 3):
+                    ab = t.central_commutator(h_gen(i, k), hp_gen(j, -l))
+                    ba = t.central_commutator(hp_gen(j, -l), h_gen(i, k))
+                    assert {g: -v for g, v in ab.items()} == ba
+                    assert ab == (gamma_bracket(k, level) if (i, k) == (j, l) else {})
+
+
+def test_oscillator_table_rejects_foreign_flavors():
+    t = oscillator_table()
+    with pytest.raises(ValueError):
+        t.central_commutator(hp_gen(1, -1), x_gen(1, 1))
     with pytest.raises(ValueError):
         t.central_commutator(a_gen(1), a_gen(-1))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,7 @@ from qheis.heisenberg import (
 )
 from qheis.qscalar import ONE, qint, s_power
 from qheis.termalg import (
+    FLAVOR_H,
     AlgebraElement,
     a_gen,
     commutator,
@@ -150,6 +152,32 @@ def test_verify_weyl_iso_checks_the_shipped_map(monkeypatch):
 
     shipped = weyliso.to_weyl
     monkeypatch.setattr(weyliso, "to_weyl", lambda x, level: shipped(x, level) + shipped(x, level))
+    checks = verify_weyl_iso(load_type("A", 1), 2, 2)
+    assert [c.relation_id for c in checks if not c.passed] == \
+        ["weyl-pairing[i=1,j=1,k=1,l=1]", "weyl-pairing[i=1,j=1,k=2,l=2]"]
+
+
+def test_errors_on_the_two_sides_of_a_pairing_do_not_cancel(monkeypatch):
+    # the Heisenberg side scaled by 3/2 and the images of h_{ik} (the D side)
+    # by 1/2: against the bracket the two sides are off by +1/2 and -1/2 of
+    # it, and each pairing with k = l must fail all the same
+    import qheis.weyliso as weyliso
+
+    def scaled(x, c):
+        return AlgebraElement({key: v * c for key, v in x.items()})
+
+    heis_pairing, shipped = weyliso._pairing, weyliso.to_weyl
+
+    def heis_pairing_three_halves(*args):
+        lhs, expected = heis_pairing(*args)
+        return scaled(lhs, Fraction(3, 2)), expected
+
+    def d_images_halved(x, level):
+        [((word, _), _)] = x.items()
+        return scaled(shipped(x, level), Fraction(1, 2) if word[0].flavor == FLAVOR_H else 1)
+
+    monkeypatch.setattr(weyliso, "_pairing", heis_pairing_three_halves)
+    monkeypatch.setattr(weyliso, "to_weyl", d_images_halved)
     checks = verify_weyl_iso(load_type("A", 1), 2, 2)
     assert [c.relation_id for c in checks if not c.passed] == \
         ["weyl-pairing[i=1,j=1,k=1,l=1]", "weyl-pairing[i=1,j=1,k=2,l=2]"]
