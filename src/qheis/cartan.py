@@ -52,8 +52,8 @@ def _finite_gcm(series, n):
 
 
 def _symmetrizers(A):
-    # positive coprime integers d with diag(d)A symmetric; the matrix must
-    # describe a connected diagram
+    # positive coprime integers d with diag(d)A symmetric; every diagram of
+    # the table is connected, so the walk from node 1 reaches every node
     m = len(A)
     d = [None] * m
     d[0] = Fraction(1)
@@ -64,8 +64,6 @@ def _symmetrizers(A):
             if i != j and A[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * A[i][j] / A[j][i]
                 todo.append(j)
-    if any(x is None for x in d):
-        raise InvalidType("disconnected diagram")
     scale = lcm(*(x.denominator for x in d))
     ints = [int(x * scale) for x in d]
     g = gcd(*ints)

@@ -72,6 +72,8 @@ class HeisenbergAlgebra:
 
 @lru_cache(maxsize=None)
 def _gamma_bracket_cached(k: int, level: int | None):
+    if k == 0:
+        raise ZeroK("degree k must be nonzero")
     if level is None:
         inv = ONE / (s_power(2) - s_power(-2))
         return {2 * k: inv, -2 * k: -inv}
@@ -256,8 +258,9 @@ def verify_canonical_relations(alg: HeisenbergAlgebra, max_k: int):
 
 @lru_cache(maxsize=None)
 def _central_bracket_cached(k: int, level: int | None):
+    bracket = _gamma_bracket_cached(k, level)  # ZeroK at k = 0, before dividing by k
     factor = qint(2 * k) / k
-    return {g: factor * v for g, v in _gamma_bracket_cached(k, level).items()}
+    return {g: factor * v for g, v in bracket.items()}
 
 
 def central_bracket(k: int, level: int | None):

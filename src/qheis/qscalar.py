@@ -227,13 +227,11 @@ def _pgcd(a, b):
 
 
 def _pdiv_exact(num, den):
-    # the quotient of ordinary polynomials (min exponent >= 0), den nonzero;
+    # the quotient of nonzero ordinary polynomials (min exponent >= 0);
     # a nonzero remainder is an error.  Both are scaled to integers once; by
     # Gauss's lemma an exact quotient by den's primitive part is integral, and
     # each quotient coefficient becomes a Fraction once, scaled by
     # dd / (dn * content).
-    if not num:
-        return {}
     dn, ints = _integer_coefficients(num)
     dd, div = _integer_coefficients(den)
     content = gcd(*div.values())
@@ -367,10 +365,9 @@ class Scalar:
             num = _padd(_pmul(self._num, d2), _pmul(other._num, d1))
             return Scalar._reduced(num, _pmul(d1, d2))
         d1g, d2g = _pdiv_exact(d1, g), _pdiv_exact(d2, g)
+        # Henrici: only a factor of g can cancel.  num is nonzero: a zero sum
+        # would make self and -other equal canonical forms over unequal d1, d2
         num = _padd(_pmul(self._num, d2g), _pmul(other._num, d1g))
-        if not num:
-            return ZERO
-        # Henrici: only a factor of g can cancel
         num, g = _coprime(num, g)
         return Scalar._reduced(num, _pmul(d1g, _pmul(d2g, g)))
 

@@ -31,6 +31,7 @@ LOOP = "tests/test_loopweights.py::"
 CARTAN = "tests/test_cartan.py::"
 HEIS = "tests/test_heisenberg.py::"
 WEYL = "tests/test_weyliso.py::"
+LINALG = "tests/test_linalg.py::"
 
 MUTANTS = [
     # Gram determinants read off the degree counts: E_i off by one in e, and the
@@ -173,6 +174,17 @@ MUTANTS = [
       WEYL + "test_a_convention_string_verifies_as_its_member"]),
     ("heisenberg.py", "    if i == j and k == l:\n        return lhs,", "    if i == j:\n        return lhs,",
      [HEIS + "test_verify_canonical_relations_a2", WEYL + "test_verify_weyl_iso_small"]),
+    # the loop presentation's node range, and the degree-zero brackets
+    ("heisenberg.py", "if not (1 <= i <= n and 1 <= j <= n):", "if not (1 <= i <= n or 1 <= j <= n):",
+     [HEIS + "test_structure_constant_rejects_nodes_out_of_range"]),
+    ("heisenberg.py", '    if k == 0:\n        raise ZeroK("degree k must be nonzero")\n    if level is None:',
+     "    if level is None:",
+     [HEIS + "test_brackets_at_degree_zero_raise_zero_k"]),
+    # pivoting: the identity's rows left unswapped, and the swap's sign dropped
+    ("linalg.py", "            inv[col], inv[pivot] = inv[pivot], inv[col]\n", "",
+     [LINALG + "test_inverse_and_determinant_with_a_row_swap"]),
+    ("linalg.py", "            out = -out\n", "",
+     [LINALG + "test_inverse_and_determinant_with_a_row_swap"]),
     # --flag=-- keeps "--" as its value
     ("cli.py", 'if action.option_strings and arg_strings == ["--"]:', "if False:",
      ["tests/test_cli.py::test_double_dash_is_a_signature_within_its_token"]),

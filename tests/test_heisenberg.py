@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from qheis.cartan import load_type
+from qheis.cartan import IndexOutOfRange, load_type
 from qheis.heisenberg import (
     HeisenbergAlgebra,
     StructureConvention,
@@ -51,6 +51,25 @@ def test_structure_constant_zero_k():
     alg = HeisenbergAlgebra(load_type("A", 1))
     with pytest.raises(ZeroK):
         structure_constant(alg, 1, 1, 0)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 2), ("G", 2), ("B", 3)])
+@pytest.mark.parametrize("convention", [QJ, PLAIN])
+def test_structure_constant_rejects_nodes_out_of_range(series, rank, convention):
+    # node 0 is the affine node, which the loop presentation leaves out
+    alg = HeisenbergAlgebra(load_type(series, rank), convention)
+    for i, j in [(0, 1), (1, 0), (rank + 1, 1), (1, rank + 1)]:
+        with pytest.raises(IndexOutOfRange):
+            structure_constant(alg, i, j, 1)
+
+
+@pytest.mark.parametrize("level", [None, 1, 2, -1])
+def test_brackets_at_degree_zero_raise_zero_k(level):
+    # as structure_constant does; gamma^0 - gamma^0 has no generator to pair
+    with pytest.raises(ZeroK):
+        gamma_bracket(0, level)
+    with pytest.raises(ZeroK):
+        central_bracket(0, level)
 
 
 def test_level_zero_rejected():
@@ -285,3 +304,21 @@ def test_oscillator_table_rejects_foreign_flavors():
         t.central_commutator(hp_gen(1, -1), x_gen(1, 1))
     with pytest.raises(ValueError):
         t.central_commutator(a_gen(1), a_gen(-1))
+
+
+@pytest.mark.parametrize("wrong", [h_gen(1, -1), hp_gen(1, 1)])
+def test_oscillator_table_rejects_a_generator_on_the_wrong_side(wrong):
+    # the decoupled basis has h in positive and h' in negative degrees only
+    t = oscillator_table(2)
+    for other in (h_gen(1, 1), hp_gen(1, -1)):
+        with pytest.raises(ValueError, match="in the decoupled presentation"):
+            t.central_commutator(wrong, other)
+        with pytest.raises(ValueError, match="in the decoupled presentation"):
+            t.central_commutator(other, wrong)
+
+
+def test_single_copy_table_rejects_foreign_flavors():
+    t = single_heisenberg_table()
+    for a, b in [(h_gen(1, 1), a_gen(-1)), (a_gen(1), hp_gen(1, -1))]:
+        with pytest.raises(ValueError, match="single-copy presentation"):
+            t.central_commutator(a, b)

@@ -217,6 +217,9 @@ def test_phi_verma_rank_two_convolution():
     per_node = [PLUS, MINUS]
     mixed_dirs = phi_verma_weight_dim(cd, per_node, (0, 0), 0, 2, Truncation(4, 4))
     assert mixed_dirs.verdict.kind == "INFINITE"
+    for phis in ([PLUS], [PLUS, MINUS, PLUS], ()):
+        with pytest.raises(ValueError, match="need one signature per node"):
+            phi_verma_weight_dim(cd, phis, (0, 0), 0, 2, Truncation(4, 4))
 
 
 def test_phi_verma_graded_dims_window():

@@ -10,8 +10,17 @@ import pkgutil
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qheis
+from qheis.heisenberg import (central_bracket, gamma_bracket, oscillator_table,
+                              single_heisenberg_table)
+from qheis.linalg import identity
+from qheis.qscalar import qfactorial, qint, s_power
+from qheis.termalg import a_gen, d_gen, h_gen, hp_gen, x_gen
+from qheis.verma import Truncation, partition_count, partition_series
+from qheis.weyliso import WeylIsomorphism
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 MODULES = sorted(f"qheis.{m.name}" for m in pkgutil.iter_modules(qheis.__path__))
@@ -56,3 +65,27 @@ def test_every_class_is_immutable(modname):
     classes = [cls for _, cls in inspect.getmembers(module, inspect.isclass)
                if cls.__module__ == modname]
     assert [cls.__qualname__ for cls in classes if not _is_immutable(cls)] == []
+
+
+# every public function and value class that takes only ints, with its arity
+INT_CALLS = [
+    (s_power, 1), (qint, 2), (qfactorial, 2),
+    (gamma_bracket, 2), (central_bracket, 2), (oscillator_table, 1),
+    (single_heisenberg_table, 1),
+    (h_gen, 2), (hp_gen, 2), (a_gen, 1), (x_gen, 2), (d_gen, 2),
+    (identity, 1), (partition_count, 1), (partition_series, 2), (Truncation, 2),
+    (WeylIsomorphism, 1),
+]
+# 0, +-1, and 9, one past the largest rank of a supported type (E8)
+BOUNDARY = st.sampled_from([0, 1, -1, 9])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_int_arguments_at_the_boundary_return_or_raise_a_value_error(data):
+    call, arity = data.draw(st.sampled_from(INT_CALLS))
+    args = [data.draw(BOUNDARY) for _ in range(arity)]
+    try:
+        call(*args)
+    except ValueError:
+        pass

@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -354,6 +355,41 @@ def test_float_coefficients_rejected():
         Scalar({0: 1}, {1: 2.0})
     with pytest.raises(TypeError):
         ONE + 0.5
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_operators_refuse_other_operands_on_either_side(op):
+    x = qint(2)
+    with pytest.raises(TypeError):
+        op(x, "x")
+    with pytest.raises(TypeError):
+        op("x", x)
+    with pytest.raises(TypeError):
+        op(x, 0.5)
+
+
+def test_a_non_int_power_and_a_foreign_equality_refuse():
+    x = qint(2)
+    with pytest.raises(TypeError):
+        x ** 0.5
+    with pytest.raises(TypeError):
+        x ** Fraction(1, 2)
+    assert x != "x" and not x == 0.5 and not ONE == 1.0
+
+
+def test_reflected_subtraction_truth_and_repr():
+    x = qint(3) / qint(2)
+    assert 1 - x == ONE - x and Fraction(1, 2) - x == Scalar({0: Fraction(1, 2)}) - x
+    assert 2 - ONE == ONE
+    assert bool(x) and not bool(ZERO) and not bool(qint(2) - qint(2))
+    assert repr(qint(2)) == "Scalar(s^2 + s^-2 / 1)"
+    assert repr(-ONE / s_power(1)) == "Scalar(-s^-1 / 1)"
+
+
+def test_a_zero_denominator_is_rejected():
+    for den in ({}, {0: 0}, {1: Fraction(0), -2: 0}):
+        with pytest.raises(DivisionByZero, match="zero denominator"):
+            Scalar({0: 1}, den)
 
 
 @pytest.mark.parametrize("build", [

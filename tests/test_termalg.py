@@ -32,6 +32,40 @@ def test_genid_validation():
         GenId("X", 1, 0)
     with pytest.raises(ValueError):
         GenId("z", 1, 1)
+    # loop and Weyl generators live on nodes 1, 2, ...
+    for flavor, degree in [("h", 1), ("h'", -1), ("X", 1), ("D", 1)]:
+        with pytest.raises(ValueError, match="node index must be >= 1"):
+            GenId(flavor, 0, degree)
+
+
+def test_element_coefficients_are_coerced_to_scalars():
+    word = ((a_gen(1),), 0)
+    assert AlgebraElement({word: 2}) == AlgebraElement({word: Scalar({0: 2})})
+    assert AlgebraElement({word: Fraction(1, 3), ((), 1): 0}) == AlgebraElement(
+        {word: Scalar({0: Fraction(1, 3)})})
+    with pytest.raises(TypeError, match="coefficients must be Scalars"):
+        AlgebraElement({word: 0.5})
+
+
+def test_rendering_of_gamma_powers_and_repr():
+    x = AlgebraElement({((a_gen(-1),), 3): ONE, ((), -2): qint(2), ((), 1): -ONE})
+    assert render_element(x) == ("(s^2 + s^-2 / 1) * gamma^{-1} + (-1 / 1) * gamma^{1/2}"
+                                 " + (1 / 1) * gamma^{3/2} * a[-1]")
+    assert repr(x) == f"AlgebraElement({x})"
+
+
+def test_elements_refuse_other_operands():
+    x = AlgebraElement.from_gen(a_gen(1))
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(TypeError):
+        1 + x
+    assert x != 1 and not x == "a[1]"
+
+
+def test_an_unknown_strategy_is_rejected():
+    with pytest.raises(ValueError, match="unknown strategy 'middle'"):
+        normal_order([a_gen(1), a_gen(-1)], single_heisenberg_table(), strategy="middle")
 
 
 def test_normal_order_oscillator_pair_formal():

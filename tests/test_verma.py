@@ -155,6 +155,9 @@ def test_phi_signature_parse_render_eval():
         PhiSignature((1,), ())
     with pytest.raises(ValueError):
         PLUS(0)
+    for prefix, period in [((0,), (1,)), ((), (1, 2)), ((), (1, "+"))]:
+        with pytest.raises(ValueError, match="signs must be"):
+            PhiSignature(prefix, period)
 
 
 def test_signature_constancy_probes():
@@ -242,6 +245,12 @@ def test_act_rejects_a_vector_that_is_not_a_basis_vector():
         for j in (-1, 1):
             with pytest.raises(ValueError, match="not a basis vector"):
                 m.act(j, exps)
+
+
+def test_act_rejects_degree_zero():
+    m = build_module(PLUS, 1, Truncation(2, 2))
+    with pytest.raises(ValueError, match="degree must be nonzero"):
+        m.act(0, (0, 0))
 
 
 def _outcome(call):

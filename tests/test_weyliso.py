@@ -96,6 +96,9 @@ def test_level_and_gamma_guards():
         to_weyl(formal, 1)
     with pytest.raises(ValueError):
         to_weyl(AlgebraElement.from_gen(h_gen(1, -1)), 1)  # not in the decoupled basis
+    for gen in (h_gen(1, 1), hp_gen(1, -1)):
+        with pytest.raises(ValueError, match="is not a Weyl generator"):
+            from_weyl(AlgebraElement.from_gen(gen), 1)
 
 
 def _random_element(rng, nodes, max_k, length, table):
