@@ -11,7 +11,7 @@ per-type table; known matrices serve only as test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
@@ -98,21 +98,16 @@ def _positive_roots(A: tuple) -> tuple:
     return tuple(pos)
 
 
-@dataclass(frozen=True)
-class FiniteRoot:
+class FiniteRoot(namedtuple("FiniteRoot", "coeffs")):
     """A finite root as integer coefficients over the simple roots."""
 
-    coeffs: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(namedtuple("CartanData", "series rank gcm d")):
     """Untwisted affine Cartan matrix with symmetrizers; node 0 is the affine node."""
 
-    series: str
-    rank: int
-    gcm: tuple
-    d: tuple
+    __slots__ = ()
 
     @property
     def finite_gcm(self):

@@ -8,7 +8,7 @@ optional level specialization gamma = q^level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -57,17 +57,18 @@ class StructureConvention(str, Enum):
     PLAIN_Q = "drinfeld"
 
 
-@dataclass(frozen=True)
-class HeisenbergAlgebra:
-    cartan: CartanData
-    convention: StructureConvention = StructureConvention.QJ_BRACKET
-    level: int | None = None
+class HeisenbergAlgebra(namedtuple("HeisenbergAlgebra", "cartan convention level")):
+    """The algebra of one CartanData under one convention, with gamma formal
+    (level None) or specialized to q^level."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, cartan, convention=StructureConvention.QJ_BRACKET, level=None):
         # a str equal to a member shares its cache entries, so it must be that member
-        object.__setattr__(self, "convention", StructureConvention(self.convention))
-        if self.level == 0:
+        convention = StructureConvention(convention)
+        if level == 0:
             raise ZeroLevel("level must be nonzero when specialized")
+        return super().__new__(cls, cartan, convention, level)
 
 
 @lru_cache(maxsize=None)
@@ -77,11 +78,12 @@ def _gamma_bracket_cached(k: int, level: int | None):
     if level is None:
         inv = ONE / (s_power(2) - s_power(-2))
         return {2 * k: inv, -2 * k: -inv}
-    return {0: qint(k * level)}
+    return {0: qint(k * level)} if level else {}
 
 
 def gamma_bracket(k: int, level: int | None):
-    """(gamma^k - gamma^(-k)) / (q - q^(-1)) as a central element."""
+    """(gamma^k - gamma^(-k)) / (q - q^(-1)) as a central element: empty at
+    level 0, where gamma = 1."""
     return dict(_gamma_bracket_cached(k, level))
 
 
@@ -166,12 +168,8 @@ def oscillator_table(level: int | None = None) -> RelationTable:
     return RelationTable(generator_key, comm)
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    relation_id: str
-    lhs: AlgebraElement
-    rhs: AlgebraElement
-    residue: AlgebraElement
+class RelationCheck(namedtuple("RelationCheck", "relation_id lhs rhs residue")):
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -9,7 +9,7 @@ selected verdicts cite the analytic statements, not extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import CartanData, positive_roots
@@ -26,8 +26,8 @@ class NotInSupport(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(namedtuple("GradedDims", "counts infinite window",
+                            defaults=(frozenset(), (0, 0)))):
     """Graded dimensions of an inducing module over a window of shift degrees.
 
     counts holds truncated dimensions; degrees in `infinite` are known to be
@@ -35,9 +35,7 @@ class GradedDims:
     window figure).
     """
 
-    counts: dict
-    infinite: frozenset = frozenset()
-    window: tuple = (0, 0)
+    __slots__ = ()
 
     def dim(self, m: int):
         return self.counts.get(m, 0), m in self.infinite
@@ -51,13 +49,9 @@ class GradedDims:
         return cls({m: 1 for m in range(lo, hi + 1)}, frozenset(), (lo, hi))
 
 
-@dataclass(frozen=True)
-class MultiplicityReport:
-    beta: tuple
-    k: int
-    truncated_count: int
-    verdict: Verdict
-    max_abs_k: int
+class MultiplicityReport(namedtuple("MultiplicityReport",
+                                    "beta k truncated_count verdict max_abs_k")):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -179,5 +173,5 @@ def phi_verma_weight_dim(cartan: CartanData, phis, beta, k: int, max_abs_k: int,
     vdims = phi_verma_graded_dims(phis, k - reach, k + reach, trunc)
     report = weight_multiplicity(cartan, beta, k, vdims, max_abs_k)
     if _mixed(phis) or any(report.beta):
-        report = replace(report, verdict=Verdict("INFINITE"))
+        report = report._replace(verdict=Verdict("INFINITE"))
     return report

@@ -11,8 +11,7 @@ of the reduction strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .qscalar import ONE, Scalar
 
@@ -26,30 +25,28 @@ _HEISENBERG = (FLAVOR_H, FLAVOR_HP, FLAVOR_A)
 _WEYL = (FLAVOR_X, FLAVOR_D)
 
 
-@dataclass(frozen=True)
-class GenId:
+class GenId(namedtuple("GenId", "flavor node degree")):
     """A generator: flavor tag, node index, and integer degree."""
 
-    flavor: str
-    node: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.flavor in _HEISENBERG:
-            if self.degree == 0:
-                raise ValueError(f"degree must be nonzero for {self.flavor!r}")
-            if self.flavor == FLAVOR_A:
-                if self.node != 0:
+    def __new__(cls, flavor, node, degree):
+        if flavor in _HEISENBERG:
+            if degree == 0:
+                raise ValueError(f"degree must be nonzero for {flavor!r}")
+            if flavor == FLAVOR_A:
+                if node != 0:
                     raise ValueError("single-copy generators use node 0")
-            elif self.node < 1:
+            elif node < 1:
                 raise ValueError("node index must be >= 1")
-        elif self.flavor in _WEYL:
-            if self.degree < 1:
-                raise ValueError(f"degree must be >= 1 for {self.flavor!r}")
-            if self.node < 1:
+        elif flavor in _WEYL:
+            if degree < 1:
+                raise ValueError(f"degree must be >= 1 for {flavor!r}")
+            if node < 1:
                 raise ValueError("node index must be >= 1")
         else:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+            raise ValueError(f"unknown flavor {flavor!r}")
+        return super().__new__(cls, flavor, node, degree)
 
     def render(self):
         if self.flavor == FLAVOR_A:
@@ -83,8 +80,7 @@ def d_gen(node, degree):
     return GenId(FLAVOR_D, node, degree)
 
 
-@dataclass(frozen=True)
-class RelationTable:
+class RelationTable(namedtuple("RelationTable", "sort_key central_commutator")):
     """A presentation with central commutators and a total order on generators.
 
     central_commutator(a, b) returns {gamma_half_exponent: Scalar} for
@@ -92,8 +88,7 @@ class RelationTable:
     order: a word is normal iff its keys are nondecreasing.
     """
 
-    sort_key: Callable
-    central_commutator: Callable
+    __slots__ = ()
 
 
 class AlgebraElement:
@@ -168,7 +163,7 @@ class AlgebraElement:
 
 def _term_sort_key(item):
     (word, g), _ = item
-    return (len(word), tuple((t.flavor, t.node, t.degree) for t in word), g)
+    return (len(word), word, g)
 
 
 def _gamma_str(g):

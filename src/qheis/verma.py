@@ -10,7 +10,7 @@ signature, never from growth curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
@@ -39,19 +39,18 @@ def _signs(values) -> str:
     return "".join("+" if v > 0 else "-" for v in values)
 
 
-@dataclass(frozen=True)
-class PhiSignature:
+class PhiSignature(namedtuple("PhiSignature", "prefix period")):
     """An eventually periodic sign function on the positive integers."""
 
-    prefix: tuple
-    period: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.period:
+    def __new__(cls, prefix, period):
+        if not period:
             raise ValueError("period must be nonempty")
-        for v in self.prefix + self.period:
+        for v in prefix + period:
             if v not in (1, -1):
                 raise ValueError("signs must be +1 or -1")
+        return super().__new__(cls, prefix, period)
 
     @classmethod
     def parse(cls, text: str) -> "PhiSignature":
@@ -90,20 +89,19 @@ class PhiSignature:
         return len({self(i) for i in range(1, n + 1)}) <= 1
 
 
-@dataclass(frozen=True)
-class Truncation:
-    max_index: int
-    max_exponent: int
+class Truncation(namedtuple("Truncation", "max_index max_exponent")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.max_index < 1 or self.max_exponent < 1:
+    def __new__(cls, max_index, max_exponent):
+        if max_index < 1 or max_exponent < 1:
             raise ValueError("truncation bounds must be >= 1")
+        return super().__new__(cls, max_index, max_exponent)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # FINITE | INFINITE | UNKNOWN_AT_TRUNCATION
-    value: int | None = None
+class Verdict(namedtuple("Verdict", "kind value", defaults=(None,))):
+    """kind is FINITE, with its value, INFINITE or UNKNOWN_AT_TRUNCATION."""
+
+    __slots__ = ()
 
     def render(self) -> str:
         if self.kind == "FINITE":
@@ -111,23 +109,17 @@ class Verdict:
         return self.kind
 
 
-@dataclass(frozen=True)
-class GradedDimReport:
-    degree: int
-    truncated_dim: int
-    verdict: Verdict
+class GradedDimReport(namedtuple("GradedDimReport", "degree truncated_dim verdict")):
+    __slots__ = ()
 
     def to_json(self):
         return {"n": self.degree, "dim": self.truncated_dim,
                 "verdict": self.verdict.render()}
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
-    verdict: str
-    witness_degree: int | None
-    pairing_scalars: tuple
-    gram_dets: tuple
+class IrreducibilityReport(namedtuple("IrreducibilityReport",
+                                      "verdict witness_degree pairing_scalars gram_dets")):
+    __slots__ = ()
 
 
 _PARTITION_SERIES = {}
@@ -215,13 +207,10 @@ def _divide_out(counts, deg, E):
     return out
 
 
-@dataclass(frozen=True)
-class VermaModule:
+class VermaModule(namedtuple("VermaModule", "phi level truncation")):
     """A truncated imaginary Verma-type module for one oscillator family."""
 
-    phi: PhiSignature
-    level: int | None
-    truncation: Truncation
+    __slots__ = ()
 
     # -- presentation ------------------------------------------------
 
@@ -318,7 +307,7 @@ class VermaModule:
         """c_i, the central value of [a_i, a_{-i}] at the module's level."""
         if self.level is None:
             raise ValueError("gamma must be specialized to a level")
-        return central_bracket(i, self.level)[0]
+        return central_bracket(i, self.level).get(0, ZERO)
 
     def vacuum_pairing(self, u_exps, w_exps) -> Scalar:
         """<u v, w v>: the coefficient of the highest vector in sigma(u) w v,

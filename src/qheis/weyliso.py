@@ -9,7 +9,7 @@ relation on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cartan import CartanData
 from .heisenberg import (
@@ -108,15 +108,15 @@ def from_weyl(y: AlgebraElement, level: int) -> AlgebraElement:
     return reduce_element(AlgebraElement(pending), oscillator_table(level))
 
 
-@dataclass(frozen=True)
-class WeylIsomorphism:
+class WeylIsomorphism(namedtuple("WeylIsomorphism", "level")):
     """The level-specialized identification, packaged with its inverse."""
 
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level == 0:
+    def __new__(cls, level):
+        if level == 0:
             raise ZeroLevel("level must be nonzero")
+        return super().__new__(cls, level)
 
     def image(self, x):
         return to_weyl(x, self.level)

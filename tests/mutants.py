@@ -167,8 +167,7 @@ MUTANTS = [
      [WEYL + "test_verify_weyl_iso_checks_the_shipped_map"]),
     # a convention string becomes its member; the pairing expects the bracket
     # on the diagonal only, in both verifiers
-    ("heisenberg.py",
-     '        object.__setattr__(self, "convention", StructureConvention(self.convention))\n', "",
+    ("heisenberg.py", "        convention = StructureConvention(convention)\n", "",
      [HEIS + "test_a_convention_string_is_its_member_in_either_call_order",
       HEIS + "test_an_unknown_convention_is_rejected",
       WEYL + "test_a_convention_string_verifies_as_its_member"]),
@@ -185,6 +184,17 @@ MUTANTS = [
      [LINALG + "test_inverse_and_determinant_with_a_row_swap"]),
     ("linalg.py", "            out = -out\n", "",
      [LINALG + "test_inverse_and_determinant_with_a_row_swap"]),
+    # the checks of the value constructors: a degree-0 loop generator, each
+    # truncation bound one short, and an empty period let through
+    ("termalg.py", "            if degree == 0:\n                raise",
+     "            if False:\n                raise",
+     ["tests/test_termalg.py::test_genid_validation"]),
+    ("verma.py", "if max_index < 1 or", "if max_index < 0 or",
+     [VERMA + "test_truncation_validation"]),
+    ("verma.py", "or max_exponent < 1:", "or max_exponent < 0:",
+     [VERMA + "test_truncation_validation"]),
+    ("verma.py", "        if not period:\n            raise", "        if False:\n            raise",
+     [VERMA + "test_phi_signature_parse_render_eval"]),
     # --flag=-- keeps "--" as its value
     ("cli.py", 'if action.option_strings and arg_strings == ["--"]:', "if False:",
      ["tests/test_cli.py::test_double_dash_is_a_signature_within_its_token"]),

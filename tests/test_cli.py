@@ -297,6 +297,21 @@ def test_closed_stdout_exits_quietly(unbuffered):
     assert err == b""
 
 
+# dataclasses imports inspect, which imports ast, dis and tokenize; no command
+# needs them or typing, and every fresh interpreter would pay for their import
+STARTUP_UNUSED = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+
+
+def test_a_command_starts_without_the_introspection_modules():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, qheis.cli\nqheis.cli.build_parser()\n"
+            "print(' '.join(sorted(sys.modules)))")
+    child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert STARTUP_UNUSED & set(child.stdout.split()) == set()
+
+
 def _address_space_of_512_mb():
     import resource
 

@@ -264,6 +264,12 @@ def test_central_bracket_antisymmetry_and_level_identity():
             assert gamma_bracket(k, level) == {0: qint(k * level)}
 
 
+def test_brackets_at_level_zero_are_empty():
+    # gamma = q^0 = 1 kills both brackets, which store no zero term
+    for k in (1, 2, 3, -1, -2, -3):
+        assert gamma_bracket(k, 0) == central_bracket(k, 0) == {}
+
+
 def test_loop_table_antisymmetric_including_mixed_lengths():
     for series, rank in [("A", 2), ("C", 2), ("G", 2)]:
         for conv in (QJ, PLAIN):

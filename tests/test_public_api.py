@@ -1,7 +1,6 @@
 """The public API is what the modules export and what README's library sketch uses."""
 
 import ast
-import dataclasses
 import enum
 import importlib
 import inspect
@@ -14,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qheis
-from qheis.heisenberg import (central_bracket, gamma_bracket, oscillator_table,
-                              single_heisenberg_table)
+from qheis.cartan import load_type, positive_roots
+from qheis.heisenberg import (HeisenbergAlgebra, central_bracket, gamma_bracket,
+                              oscillator_table, relation_table, single_heisenberg_table,
+                              verify_canonical_relations)
 from qheis.linalg import identity
-from qheis.qscalar import qfactorial, qint, s_power
-from qheis.termalg import a_gen, d_gen, h_gen, hp_gen, x_gen
-from qheis.verma import Truncation, partition_count, partition_series
+from qheis.loopweights import GradedDims, phi_verma_weight_dim
+from qheis.qscalar import ONE, qfactorial, qint, s_power
+from qheis.termalg import AlgebraElement, a_gen, d_gen, h_gen, hp_gen, x_gen
+from qheis.verma import PhiSignature, Truncation, build_module, partition_count, partition_series
 from qheis.weyliso import WeylIsomorphism
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -52,19 +54,39 @@ def test_library_sketch_runs():
     exec(compile(_library_sketch(), str(README), "exec"), {})
 
 
-def _is_immutable(cls):
-    return (issubclass(cls, (BaseException, enum.Enum))
-            or (dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen)
-            or "__slots__" in vars(cls))
+def _values():
+    """One instance of each value class, keyed by its class."""
+    cd = load_type("A", 1)
+    alg = HeisenbergAlgebra(cd)
+    module = build_module(PhiSignature.parse("+"), 1, Truncation(2, 2))
+    report = module.graded_dim(0)
+    values = [cd, positive_roots(cd)[0], alg, verify_canonical_relations(alg, 1)[0],
+              relation_table(alg), h_gen(1, 1), AlgebraElement.from_scalar(ONE), ONE,
+              GradedDims({0: 1}), WeylIsomorphism(1), module, module.phi, module.truncation,
+              report, report.verdict, module.irreducible_at_truncation(),
+              phi_verma_weight_dim(cd, module.phi, (1,), 0, 1, module.truncation)]
+    return {type(v): v for v in values}
+
+
+def _fields(value):
+    """The public data attributes of a value: every public name but its methods."""
+    return [name for name in dir(value) if not name.startswith("_")
+            and not inspect.ismethod(attr := getattr(value, name)) and not inspect.isbuiltin(attr)]
 
 
 @pytest.mark.parametrize("modname", MODULES)
 def test_every_class_is_immutable(modname):
-    # README promises that all values are immutable after construction
+    # README promises that all values are immutable after construction:
+    # assigning a field, or any new attribute, raises
     module = importlib.import_module(modname)
-    classes = [cls for _, cls in inspect.getmembers(module, inspect.isclass)
-               if cls.__module__ == modname]
-    assert [cls.__qualname__ for cls in classes if not _is_immutable(cls)] == []
+    values = _values()
+    for _, cls in inspect.getmembers(module, inspect.isclass):
+        if cls.__module__ != modname or issubclass(cls, (BaseException, enum.Enum)):
+            continue
+        assert cls in values and _fields(values[cls]), cls.__qualname__
+        for name in _fields(values[cls]) + ["not_a_field"]:
+            with pytest.raises(AttributeError):
+                setattr(values[cls], name, None)
 
 
 # every public function and value class that takes only ints, with its arity

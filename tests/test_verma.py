@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from math import factorial, prod
 
@@ -553,7 +552,7 @@ def test_report_shape():
 
 def test_module_is_an_immutable_value():
     m = build_module(MIXED, 2, Truncation(3, 2))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         m.level = 3
     twin = VermaModule(PhiSignature.parse("+-:+"), 2, Truncation(3, 2))
     assert m == twin and hash(m) == hash(twin)
