@@ -12,7 +12,7 @@ from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
-from .cartan import CartanData, IndexOutOfRange
+from .cartan import IndexOutOfRange
 from .linalg import SingularMatrix, invert
 from .qscalar import ONE, Scalar, qint, s_power
 from .termalg import (
@@ -62,6 +62,7 @@ class HeisenbergAlgebra(namedtuple("HeisenbergAlgebra", "cartan convention level
     (level None) or specialized to q^level."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, cartan, convention=StructureConvention.QJ_BRACKET, level=None):
         # a str equal to a member shares its cache entries, so it must be that member

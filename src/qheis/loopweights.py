@@ -13,8 +13,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .cartan import CartanData, positive_roots
-from .verma import (PhiSignature, Truncation, Verdict, _factor_product, _lowering_degree,
-                    partition_series)
+from .verma import PhiSignature, Truncation, Verdict, _factor_product, partition_series
 
 __all__ = [
     "NotInSupport", "GradedDims", "MultiplicityReport", "support_contains",
@@ -148,7 +147,7 @@ def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDi
     phis = tuple(phis)
     if _mixed(phis):
         # every index's factor of every node multiplied into one series
-        degs = tuple(_lowering_degree(phi, i) for phi in phis
+        degs = tuple(phi.lowering_degree(i) for phi in phis
                      for i in range(1, trunc.max_index + 1))
         series = _factor_product(degs, trunc.max_exponent)
         counts = {m: c for m, c in series.items() if lo <= m <= hi}
@@ -172,6 +171,6 @@ def phi_verma_weight_dim(cartan: CartanData, phis, beta, k: int, max_abs_k: int,
     reach = max_abs_k * max(sum(beta), 1)
     vdims = phi_verma_graded_dims(phis, k - reach, k + reach, trunc)
     report = weight_multiplicity(cartan, beta, k, vdims, max_abs_k)
-    if _mixed(phis) or any(report.beta):
+    if any(report.beta):
         report = report._replace(verdict=Verdict("INFINITE"))
     return report

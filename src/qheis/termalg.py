@@ -29,6 +29,7 @@ class GenId(namedtuple("GenId", "flavor node degree")):
     """A generator: flavor tag, node index, and integer degree."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, flavor, node, degree):
         if flavor in _HEISENBERG:

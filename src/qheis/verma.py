@@ -43,6 +43,7 @@ class PhiSignature(namedtuple("PhiSignature", "prefix period")):
     """An eventually periodic sign function on the positive integers."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, prefix, period):
         if not period:
@@ -88,9 +89,14 @@ class PhiSignature(namedtuple("PhiSignature", "prefix period")):
     def constant_on_window(self, n: int) -> bool:
         return len({self(i) for i in range(1, n + 1)}) <= 1
 
+    def lowering_degree(self, i: int) -> int:
+        """Signed degree of the lowering generator at index i: -phi(i) * i."""
+        return -self(i) * i
+
 
 class Truncation(namedtuple("Truncation", "max_index max_exponent")):
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, max_index, max_exponent):
         if max_index < 1 or max_exponent < 1:
@@ -149,11 +155,6 @@ def partition_count(n: int) -> int:
     return partition_series(1, n)[n] if n >= 0 else 0
 
 
-def _lowering_degree(phi: PhiSignature, i: int) -> int:
-    """Signed degree of the lowering generator at index i: -phi(i) * i."""
-    return -phi(i) * i
-
-
 def _multiply_in(coeffs, deg, E):
     """Multiply the dense series coeffs (coeffs[j] counts degree lo + j) in place
     by one index's factor sum_{e <= E} x^(e*deg), the inverse of _divide_out.
@@ -190,7 +191,7 @@ def degree_counts(phi: PhiSignature, truncation: Truncation) -> dict:
     """{degree: basis monomials}: the product over i of sum_{e <= E} x^(e * deg_i).
     The level plays no part.  Shared through _factor_product's cache, so
     callers only read it."""
-    degs = tuple(_lowering_degree(phi, i) for i in range(1, truncation.max_index + 1))
+    degs = tuple(phi.lowering_degree(i) for i in range(1, truncation.max_index + 1))
     return _factor_product(degs, truncation.max_exponent)
 
 
@@ -212,18 +213,12 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
 
     __slots__ = ()
 
-    # -- presentation ------------------------------------------------
-
-    def lowering_degree(self, i: int) -> int:
-        """Signed degree of the lowering generator at index i."""
-        return _lowering_degree(self.phi, i)
-
     # -- basis -------------------------------------------------------
 
     def basis_component(self, n: int):
         """Exponent vectors of total degree n, in lexicographic order."""
         N, E = self.truncation.max_index, self.truncation.max_exponent
-        degs = [self.lowering_degree(i) for i in range(1, N + 1)]
+        degs = [self.phi.lowering_degree(i) for i in range(1, N + 1)]
         # the first idx indices leave a residual in [n - top[idx], n - bottom[idx]]
         bottom, top = [0], [0]
         for deg in degs:
@@ -264,7 +259,7 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
                              f"exponents in 0..{E}")
         i = abs(j)
         out = list(exps)
-        if j == self.lowering_degree(i):
+        if j == self.phi.lowering_degree(i):
             if i > N:
                 raise TruncationExceeded(f"index {i} exceeds bound {N}")
             if exps[i - 1] == E:
@@ -315,7 +310,7 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
         out, vec = ONE, tuple(w_exps)
         for i, e in enumerate(u_exps, start=1):
             for _ in range(e):
-                image = self.act(-self.lowering_degree(i), vec)
+                image = self.act(-self.phi.lowering_degree(i), vec)
                 if not image:
                     return ZERO
                 (vec, coeff), = image.items()
@@ -351,7 +346,7 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
         count = 1
         powers = []
         for (i, c), other in zip(pairing, others):
-            deg = self.lowering_degree(i)
+            deg = self.phi.lowering_degree(i)
             with_e = [other.get(n - e * deg, 0) for e in range(self.truncation.max_exponent + 1)]
             total = sum(e * m for e, m in enumerate(with_e))
             if not total:
@@ -366,7 +361,7 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
         N, E = self.truncation.max_index, self.truncation.max_exponent
         pairing = tuple((k, self._pairing_scalar(k)) for k in range(1, N + 1))
         counts = degree_counts(self.phi, self.truncation)
-        others = [_divide_out(counts, self.lowering_degree(k), E) for k in range(1, N + 1)]
+        others = [_divide_out(counts, self.phi.lowering_degree(k), E) for k in range(1, N + 1)]
         dets = {}
         witness = None
         for n in self._witness_scan_order():

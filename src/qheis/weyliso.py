@@ -30,7 +30,6 @@ from .termalg import (
     AlgebraElement,
     GenId,
     RelationTable,
-    _bump,
     commutator,
     d_gen,
     generator_key,
@@ -40,10 +39,8 @@ from .termalg import (
     x_gen,
 )
 
-__all__ = [
-    "UnspecializedGamma", "ZeroLevel", "WeylIsomorphism",
-    "weyl_relation_table", "to_weyl", "from_weyl", "verify_weyl_iso",
-]
+__all__ = ["UnspecializedGamma", "ZeroLevel", "WeylIsomorphism", "weyl_relation_table",
+           "verify_weyl_iso"]
 
 
 class UnspecializedGamma(ValueError):
@@ -64,65 +61,56 @@ def weyl_relation_table() -> RelationTable:
     return RelationTable(generator_key, comm)
 
 
-def to_weyl(x: AlgebraElement, level: int) -> AlgebraElement:
-    """Substitute h_{ik} -> [k*level]_q D_{ik}, h'_{i,-k} -> X_{ik} and normal-order.
-
-    The input must be written in the decoupled basis with gamma already
-    specialized to q^level.
-    """
-    if level == 0:
-        raise ZeroLevel("level must be nonzero")
-    pending = {}
+def _substitute(x: AlgebraElement, rename, table: RelationTable) -> AlgebraElement:
+    """x with every generator replaced by its image under rename, a (factor or
+    None, generator) pair, each term scaled by its factors, in normal form
+    under table.  rename is one-to-one, so no two terms meet before reduction."""
+    terms = {}
     for (word, g), coeff in x.items():
-        if g != 0:
-            raise UnspecializedGamma("gamma is still formal; specialize it first")
         new = []
-        for gen in word:
-            if gen.flavor == FLAVOR_H and gen.degree > 0:
-                coeff = coeff * qint(gen.degree * level)
-                new.append(d_gen(gen.node, gen.degree))
-            elif gen.flavor == FLAVOR_HP and gen.degree < 0:
-                new.append(x_gen(gen.node, -gen.degree))
-            else:
-                raise ValueError(f"generator {gen!r} is not in the decoupled basis")
-        _bump(pending, (tuple(new), 0), coeff)
-    return reduce_element(AlgebraElement(pending), weyl_relation_table())
-
-
-def from_weyl(y: AlgebraElement, level: int) -> AlgebraElement:
-    """Substitute D_{ik} -> h_{ik} / [k*level]_q, X_{ik} -> h'_{i,-k} and normal-order."""
-    if level == 0:
-        raise ZeroLevel("level must be nonzero")
-    pending = {}
-    for (word, g), coeff in y.items():
-        new = []
-        for gen in word:
-            if gen.flavor == FLAVOR_D:
-                coeff = coeff / qint(gen.degree * level)
-                new.append(h_gen(gen.node, gen.degree))
-            elif gen.flavor == FLAVOR_X:
-                new.append(hp_gen(gen.node, -gen.degree))
-            else:
-                raise ValueError(f"generator {gen!r} is not a Weyl generator")
-        _bump(pending, (tuple(new), g), coeff)
-    return reduce_element(AlgebraElement(pending), oscillator_table(level))
+        for factor, gen in map(rename, word):
+            if factor is not None:
+                coeff = coeff * factor
+            new.append(gen)
+        terms[(tuple(new), g)] = coeff
+    return reduce_element(AlgebraElement(terms), table)
 
 
 class WeylIsomorphism(namedtuple("WeylIsomorphism", "level")):
-    """The level-specialized identification, packaged with its inverse."""
+    """The level-specialized identification, in both directions."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, level):
         if level == 0:
             raise ZeroLevel("level must be nonzero")
         return super().__new__(cls, level)
 
-    def image(self, x):
-        return to_weyl(x, self.level)
+    def image(self, x: AlgebraElement) -> AlgebraElement:
+        """Substitute h_{ik} -> [k*level]_q D_{ik}, h'_{i,-k} -> X_{ik} and normal-order.
+        x must be in the decoupled basis, with gamma specialized to q^level."""
+        def rename(gen):
+            if gen.flavor == FLAVOR_H and gen.degree > 0:
+                return qint(gen.degree * self.level), d_gen(gen.node, gen.degree)
+            if gen.flavor == FLAVOR_HP and gen.degree < 0:
+                return None, x_gen(gen.node, -gen.degree)
+            raise ValueError(f"generator {gen!r} is not in the decoupled basis")
 
-    def inverse_image(self, y):
-        return from_weyl(y, self.level)
+        if any(g for (_, g), _ in x.items()):
+            raise UnspecializedGamma("gamma is still formal; specialize it first")
+        return _substitute(x, rename, weyl_relation_table())
+
+    def inverse_image(self, y: AlgebraElement) -> AlgebraElement:
+        """Substitute D_{ik} -> h_{ik} / [k*level]_q, X_{ik} -> h'_{i,-k} and normal-order."""
+        def rename(gen):
+            if gen.flavor == FLAVOR_D:
+                return ONE / qint(gen.degree * self.level), h_gen(gen.node, gen.degree)
+            if gen.flavor == FLAVOR_X:
+                return None, hp_gen(gen.node, -gen.degree)
+            raise ValueError(f"generator {gen!r} is not a Weyl generator")
+
+        return _substitute(y, rename, oscillator_table(self.level))
 
 
 def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,
@@ -130,15 +118,14 @@ def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,
     """Recompute every decoupled relation on the Heisenberg side (through the
     structure-matrix inverse, at gamma = q^level) and on the Weyl side, and
     compare them against the expected bracket value."""
-    if level == 0:
-        raise ZeroLevel("level must be nonzero")
     alg = HeisenbergAlgebra(cartan, convention, level)
     loop = relation_table(alg)
     weyl = weyl_relation_table()
-    # images under to_weyl, so that the check covers the map the library ships
+    # images under the shipped map, so that the check covers it
+    image = WeylIsomorphism(level).image
     indices = [(i, k) for i in range(1, cartan.rank + 1) for k in range(1, max_k + 1)]
-    d = {(i, k): to_weyl(AlgebraElement.from_gen(h_gen(i, k)), level) for i, k in indices}
-    x = {(i, k): to_weyl(AlgebraElement.from_gen(hp_gen(i, -k)), level) for i, k in indices}
+    d = {(i, k): image(AlgebraElement.from_gen(h_gen(i, k))) for i, k in indices}
+    x = {(i, k): image(AlgebraElement.from_gen(hp_gen(i, -k))) for i, k in indices}
 
     def pairing(i, j, k, l, primed):
         heis_side, expected = _pairing(alg, loop, i, j, k, l, primed)

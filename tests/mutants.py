@@ -95,8 +95,8 @@ MUTANTS = [
     ("verma.py", "for i in range(1, truncation.max_index + 1))",
      "for i in range(1, truncation.max_index))",
      [VERMA + "test_degree_counts_equal_the_benchmark_oracle"]),
-    ("loopweights.py", "degs = tuple(_lowering_degree(phi, i) for phi in phis\n",
-     "degs = tuple(_lowering_degree(phi, i) for phi in phis[:1]\n",
+    ("loopweights.py", "degs = tuple(phi.lowering_degree(i) for phi in phis\n",
+     "degs = tuple(phi.lowering_degree(i) for phi in phis[:1]\n",
      [LOOP + "test_mixed_series_is_the_product_of_the_node_counts"]),
     ("verma.py", "@lru_cache(maxsize=None)\ndef _factor_product", "def _factor_product",
      [VERMA + "test_one_signature_spelled_two_ways_shares_one_count_table"]),
@@ -114,7 +114,8 @@ MUTANTS = [
       LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
     ("loopweights.py", "for t in range(max(near, 0), far + 1)}", "for t in range(max(near, 0), far)}",
      [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
-    ("loopweights.py", "if _mixed(phis) or any(report.beta):", "if _mixed(phis):",
+    # the one phi-verdict override: a nonzero finite part left to the window
+    ("loopweights.py", "if any(report.beta):", "if False:",
      [LOOP + "test_phi_verma_nonzero_beta_infinite"]),
     # root systems: one closure per type, and the highest root
     ("cartan.py", "@cache\ndef _positive_roots", "def _positive_roots",
@@ -195,6 +196,15 @@ MUTANTS = [
      [VERMA + "test_truncation_validation"]),
     ("verma.py", "        if not period:\n            raise", "        if False:\n            raise",
      [VERMA + "test_phi_signature_parse_render_eval"]),
+    # _make, which _replace calls, skipping those checks
+    ("weyliso.py", "    _make = classmethod(lambda cls, it: cls(*it))\n", "",
+     ["tests/test_public_api.py::test_make_and_replace_run_the_constructor_checks"]),
+    # the one lowering-degree rule with its sign flipped, and the Weyl image's
+    # scale [k*level]_q read as [k+level]_q
+    ("verma.py", "return -self(i) * i", "return self(i) * i",
+     [VERMA + "test_phi_signature_parse_render_eval"]),
+    ("weyliso.py", "return qint(gen.degree * self.level)", "return qint(gen.degree + self.level)",
+     [WEYL + "test_image_generator_assignments"]),
     # --flag=-- keeps "--" as its value
     ("cli.py", 'if action.option_strings and arg_strings == ["--"]:', "if False:",
      ["tests/test_cli.py::test_double_dash_is_a_signature_within_its_token"]),

@@ -9,7 +9,9 @@ job, the calls of each and the bytes the job prints.  The counts repeat
 exactly, so more work on any job shows where wall times are too noisy to.
 A change that moves a count re-pins the golden and records the old and new
 totals.  test_qscalar.py::test_kernel_call_counts_of_two_fixed_commands
-recomputes every entry; pytest does not collect this file.
+recomputes every entry, and checks each pool job's stdout against its
+digest in benchmark/digests.json, which only benchmark/run.py --pin writes;
+pytest does not collect this file.
 """
 
 import contextlib
@@ -89,21 +91,21 @@ def _counting(counts):
 
 
 def count_ops(argv):
-    """(exit code, {counter: calls, "stdout_bytes": n}) of one in-process run."""
+    """(exit code, {counter: calls, "stdout_bytes": n}, stdout) of one in-process run."""
     _clear_caches()
     counts = dict.fromkeys((name for _, name, _ in COUNTED), 0)
     out = io.StringIO()
     with _counting(counts), contextlib.redirect_stdout(out):
         code = run(argv)
     counts["stdout_bytes"] = len(out.getvalue().encode())
-    return code, counts
+    return code, counts, out.getvalue()
 
 
 def main():
     os.environ.pop("QAFF_FORMAT", None)
     golden = {}
     for key, argv in JOBS.items():
-        code, golden[key] = count_ops(argv)
+        code, golden[key], _ = count_ops(argv)
         if code:
             print(f"exit {code}: {key}")
             return 1

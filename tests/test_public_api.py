@@ -20,7 +20,7 @@ from qheis.heisenberg import (HeisenbergAlgebra, central_bracket, gamma_bracket,
 from qheis.linalg import identity
 from qheis.loopweights import GradedDims, phi_verma_weight_dim
 from qheis.qscalar import ONE, qfactorial, qint, s_power
-from qheis.termalg import AlgebraElement, a_gen, d_gen, h_gen, hp_gen, x_gen
+from qheis.termalg import AlgebraElement, GenId, a_gen, d_gen, h_gen, hp_gen, x_gen
 from qheis.verma import PhiSignature, Truncation, build_module, partition_count, partition_series
 from qheis.weyliso import WeylIsomorphism
 
@@ -52,6 +52,17 @@ def test_package_exports_exactly_what_the_sketch_imports():
 
 def test_library_sketch_runs():
     exec(compile(_library_sketch(), str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("modname", ["qheis"] + MODULES)
+def test_every_imported_name_is_used_or_exported(modname):
+    module = importlib.import_module(modname)
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and
+                getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported - used - set(getattr(module, "__all__", ())) == set()
 
 
 def _values():
@@ -87,6 +98,22 @@ def test_every_class_is_immutable(modname):
         for name in _fields(values[cls]) + ["not_a_field"]:
             with pytest.raises(AttributeError):
                 setattr(values[cls], name, None)
+
+
+def test_make_and_replace_run_the_constructor_checks():
+    # namedtuple's _make, which _replace calls, builds through __new__
+    alg = HeisenbergAlgebra(load_type("A", 1))
+    for build in [lambda: Truncation(1, 1)._replace(max_index=0),
+                  lambda: GenId._make(("h", 1, 0)),
+                  lambda: PhiSignature._make(((), ())),
+                  lambda: WeylIsomorphism._make((0,)),
+                  lambda: alg._replace(level=0),
+                  lambda: alg._replace(convention="bogus")]:
+        with pytest.raises(ValueError):
+            build()
+    assert Truncation(1, 1)._replace(max_exponent=3) == Truncation(1, 3)
+    assert alg._replace(level=2) == HeisenbergAlgebra(alg.cartan, level=2)
+    assert WeylIsomorphism._make((2,)).level == 2
 
 
 # every public function and value class that takes only ints, with its arity

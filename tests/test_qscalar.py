@@ -1,3 +1,4 @@
+import hashlib
 import json
 import operator
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import pdiv_exact, pmul_schoolbook, pseudo_rem
-from pin_op_counts import GOLDEN, JOBS, count_ops
+from pin_op_counts import GOLDEN, GROUPS, JOBS, ROOT, count_ops
 
 import qheis.qscalar as qscalar
 from qheis.qscalar import (
@@ -876,11 +877,18 @@ def test_a_sum_over_unequal_denominators_equals_the_unreduced_quotient(operands)
 # -- operation counts of every benchmark job ------------------------------------
 
 OP_COUNTS = json.loads(GOLDEN.read_text())
+# the stdout digest of every pool job, as the benchmark pins it
+POOL_DIGESTS = json.loads((ROOT / "benchmark" / "digests.json").read_text())
+DIGESTS = {key: digest for pool in POOL_DIGESTS.values() for key, digest in pool.items()}
 
 
 @pytest.mark.parametrize("argv, want", [(key, OP_COUNTS.get(key)) for key in JOBS])
 def test_kernel_call_counts_of_two_fixed_commands(argv, want, monkeypatch):
     # two fixed commands, then every benchmark pool job; each starts with every
-    # cache empty, as in a fresh process (tests/pin_op_counts.py rewrites them)
+    # cache empty, as in a fresh process (tests/pin_op_counts.py rewrites them).
+    # A pool job's stdout must also match its pinned digest.
     monkeypatch.delenv("QAFF_FORMAT", raising=False)
-    assert count_ops(JOBS[argv]) == (0, want)
+    code, counts, out = count_ops(JOBS[argv])
+    assert (code, counts) == (0, want)
+    if argv not in GROUPS["fixed"]:
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]

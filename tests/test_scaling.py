@@ -14,6 +14,9 @@ import qheis.verma as verma
 
 # O(sqrt t) steps per coefficient: a table of n coefficients costs O(n^1.5)
 PARTITION_BOUND = 2 ** 1.75
+# one geometric factor multiplied into a series costs O(len) whatever its E
+FACTOR_BOUND = 2 ** 0.25
+SERIES = list(range(4000))
 
 
 def _line_events(path, call, n):
@@ -51,3 +54,16 @@ def test_the_divisor_sum_route_breaks_the_partition_bound():
     ratio = _doubling_ratio(oracles.__file__,
                             lambda far: oracles.inverse_euler_divisor_sums(1, far), 500)
     assert ratio > PARTITION_BOUND
+
+
+def test_multiplying_in_a_factor_does_not_grow_with_the_exponent_bound():
+    ratio = _doubling_ratio(verma.__file__, lambda E: verma._multiply_in(list(SERIES), 3, E), 8)
+    assert ratio <= FACTOR_BOUND
+
+
+def test_the_convolution_route_breaks_the_factor_bound():
+    # O(len * E): about 1.8 per doubling of E
+    series = dict(enumerate(SERIES))
+    ratio = _doubling_ratio(oracles.__file__,
+                            lambda E: oracles.convolve(series, {e * 3: 1 for e in range(E + 1)}), 8)
+    assert ratio > FACTOR_BOUND

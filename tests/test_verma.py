@@ -38,7 +38,7 @@ MIXED = PhiSignature.parse("+-:+")  # sign flips at index 2 only
 def brute_force_dims(module, degree):
     """Independent enumerator: walk every exponent vector below the bounds."""
     N, E = module.truncation.max_index, module.truncation.max_exponent
-    degs = [module.lowering_degree(i) for i in range(1, N + 1)]
+    degs = [module.phi.lowering_degree(i) for i in range(1, N + 1)]
     count = 0
     for exps in itertools.product(range(E + 1), repeat=N):
         if sum(e * d for e, d in zip(exps, degs)) == degree:
@@ -50,7 +50,7 @@ def brute_force_dims(module, degree):
 
 
 def is_lowering(module, gen):
-    return gen.degree == module.lowering_degree(abs(gen.degree))
+    return gen.degree == module.phi.lowering_degree(abs(gen.degree))
 
 
 def rewriting_table(module):
@@ -69,7 +69,7 @@ def monomial_word(module, exps, raising=False):
     sign = -1 if raising else 1
     gens = []
     for i, e in enumerate(exps, start=1):
-        gens.extend([a_gen(sign * module.lowering_degree(i))] * e)
+        gens.extend([a_gen(sign * module.phi.lowering_degree(i))] * e)
     gens.sort(key=rewriting_table(module).sort_key)
     return tuple(gens)
 
@@ -110,7 +110,7 @@ def unpruned_basis_component(module, n):
     """Reference enumeration: keep every prefix whose residual lies between
     what the later indices can reach at most and at least, reachable or not."""
     N, E = module.truncation.max_index, module.truncation.max_exponent
-    degs = [module.lowering_degree(i) for i in range(1, N + 1)]
+    degs = [module.phi.lowering_degree(i) for i in range(1, N + 1)]
     lo = [0] * (N + 1)
     hi = [0] * (N + 1)
     for i in range(N - 1, -1, -1):
@@ -144,6 +144,7 @@ def test_phi_signature_parse_render_eval():
     assert PLUS.prefix == () and PLUS.period == (1,)
     assert MIXED.prefix == (1, -1) and MIXED.period == (1,)
     assert [MIXED(i) for i in range(1, 6)] == [1, -1, 1, 1, 1]
+    assert [MIXED.lowering_degree(i) for i in range(1, 5)] == [-1, 2, -3, -4]
     assert MIXED.render() == "+-:+"
     assert PhiSignature.parse("-").render() == "-"
     two = PhiSignature.parse(":+-")

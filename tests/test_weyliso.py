@@ -28,8 +28,6 @@ from qheis.termalg import (
 from qheis.weyliso import (
     UnspecializedGamma,
     WeylIsomorphism,
-    from_weyl,
-    to_weyl,
     verify_weyl_iso,
     weyl_relation_table,
 )
@@ -59,46 +57,44 @@ def test_weyl_table_relations():
         w.central_commutator(a_gen(1), x_gen(1, 1))
 
 
-def test_to_weyl_generator_assignments():
-    img = to_weyl(AlgebraElement.from_gen(h_gen(1, 2)), 1)
+def test_image_generator_assignments():
+    img = WeylIsomorphism(1).image(AlgebraElement.from_gen(h_gen(1, 2)))
     assert img == AlgebraElement.from_word((d_gen(1, 2),), qint(2))
-    img2 = to_weyl(AlgebraElement.from_gen(hp_gen(1, -3)), 2)
+    img2 = WeylIsomorphism(2).image(AlgebraElement.from_gen(hp_gen(1, -3)))
     assert img2 == AlgebraElement.from_word((x_gen(1, 3),))
 
 
-def test_to_weyl_commutator_is_one():
+def test_image_of_the_commutator_is_one():
     t = oscillator_table(1)
+    image = WeylIsomorphism(1).image
     h = AlgebraElement.from_gen(h_gen(1, 1))
     hp = AlgebraElement.from_gen(hp_gen(1, -1))
-    lhs = to_weyl(commutator(h, hp, t), 1)
+    lhs = image(commutator(h, hp, t))
     # independent recomputation on the Weyl side
     w = weyl_relation_table()
-    rhs = commutator(to_weyl(h, 1), to_weyl(hp, 1), w)
+    rhs = commutator(image(h), image(hp), w)
     assert lhs == rhs == AlgebraElement.from_scalar(qint(1))
 
 
-def test_from_weyl_generator_assignments():
-    pre = from_weyl(AlgebraElement.from_gen(x_gen(1, 1)), 1)
+def test_inverse_image_generator_assignments():
+    pre = WeylIsomorphism(1).inverse_image(AlgebraElement.from_gen(x_gen(1, 1)))
     assert pre == AlgebraElement.from_gen(hp_gen(1, -1))
-    pre2 = from_weyl(AlgebraElement.from_gen(d_gen(1, 2)), 3)
+    pre2 = WeylIsomorphism(3).inverse_image(AlgebraElement.from_gen(d_gen(1, 2)))
     assert pre2 == AlgebraElement.from_word((h_gen(1, 2),), ONE / qint(6))
 
 
 def test_level_and_gamma_guards():
-    with pytest.raises(ZeroLevel):
-        to_weyl(AlgebraElement.from_scalar(ONE), 0)
-    with pytest.raises(ZeroLevel):
-        from_weyl(AlgebraElement.from_scalar(ONE), 0)
-    with pytest.raises(ZeroLevel):
+    with pytest.raises(ZeroLevel, match="level must be nonzero"):
         WeylIsomorphism(0)
+    iso = WeylIsomorphism(1)
     formal = AlgebraElement.from_scalar(ONE, 2)
-    with pytest.raises(UnspecializedGamma):
-        to_weyl(formal, 1)
-    with pytest.raises(ValueError):
-        to_weyl(AlgebraElement.from_gen(h_gen(1, -1)), 1)  # not in the decoupled basis
+    with pytest.raises(UnspecializedGamma, match="gamma is still formal"):
+        iso.image(formal)
+    with pytest.raises(ValueError, match="is not in the decoupled basis"):
+        iso.image(AlgebraElement.from_gen(h_gen(1, -1)))
     for gen in (h_gen(1, 1), hp_gen(1, -1)):
         with pytest.raises(ValueError, match="is not a Weyl generator"):
-            from_weyl(AlgebraElement.from_gen(gen), 1)
+            iso.inverse_image(AlgebraElement.from_gen(gen))
 
 
 def _random_element(rng, nodes, max_k, length, table):
@@ -125,11 +121,11 @@ def test_homomorphism_on_500_random_pairs():
     level = 2
     t = oscillator_table(level)
     w = weyl_relation_table()
+    image = WeylIsomorphism(level).image
     for _ in range(500):
         x = _random_element(rng, 2, 3, 3, t)
         y = _random_element(rng, 2, 3, 3, t)
-        assert to_weyl(multiply(x, y, t), level) == \
-            multiply(to_weyl(x, level), to_weyl(y, level), w)
+        assert image(multiply(x, y, t)) == multiply(image(x), image(y), w)
 
 
 def test_bracket_scalar_identity():
@@ -149,12 +145,11 @@ def test_verify_weyl_iso_small():
 
 
 def test_verify_weyl_iso_checks_the_shipped_map(monkeypatch):
-    # the Weyl side is built by to_weyl itself: a map that is off by a factor
-    # of 2 must fail every pairing with a nonzero bracket (the rest stay zero)
-    import qheis.weyliso as weyliso
-
-    shipped = weyliso.to_weyl
-    monkeypatch.setattr(weyliso, "to_weyl", lambda x, level: shipped(x, level) + shipped(x, level))
+    # the Weyl side is built by WeylIsomorphism.image itself: a map that is off
+    # by a factor of 2 must fail every pairing with a nonzero bracket (the rest
+    # stay zero)
+    shipped = WeylIsomorphism.image
+    monkeypatch.setattr(WeylIsomorphism, "image", lambda iso, x: shipped(iso, x) + shipped(iso, x))
     checks = verify_weyl_iso(load_type("A", 1), 2, 2)
     assert [c.relation_id for c in checks if not c.passed] == \
         ["weyl-pairing[i=1,j=1,k=1,l=1]", "weyl-pairing[i=1,j=1,k=2,l=2]"]
@@ -169,18 +164,18 @@ def test_errors_on_the_two_sides_of_a_pairing_do_not_cancel(monkeypatch):
     def scaled(x, c):
         return AlgebraElement({key: v * c for key, v in x.items()})
 
-    heis_pairing, shipped = weyliso._pairing, weyliso.to_weyl
+    heis_pairing, shipped = weyliso._pairing, WeylIsomorphism.image
 
     def heis_pairing_three_halves(*args):
         lhs, expected = heis_pairing(*args)
         return scaled(lhs, Fraction(3, 2)), expected
 
-    def d_images_halved(x, level):
+    def d_images_halved(iso, x):
         [((word, _), _)] = x.items()
-        return scaled(shipped(x, level), Fraction(1, 2) if word[0].flavor == FLAVOR_H else 1)
+        return scaled(shipped(iso, x), Fraction(1, 2) if word[0].flavor == FLAVOR_H else 1)
 
     monkeypatch.setattr(weyliso, "_pairing", heis_pairing_three_halves)
-    monkeypatch.setattr(weyliso, "to_weyl", d_images_halved)
+    monkeypatch.setattr(WeylIsomorphism, "image", d_images_halved)
     checks = verify_weyl_iso(load_type("A", 1), 2, 2)
     assert [c.relation_id for c in checks if not c.passed] == \
         ["weyl-pairing[i=1,j=1,k=1,l=1]", "weyl-pairing[i=1,j=1,k=2,l=2]"]
@@ -196,7 +191,7 @@ def test_image_preserves_normal_order_shape():
     t = oscillator_table(1)
     w = weyl_relation_table()
     x = normal_order([h_gen(1, 1), hp_gen(1, -1), h_gen(2, 2)], t)
-    img = to_weyl(x, 1)
+    img = WeylIsomorphism(1).image(x)
     from qheis.termalg import reduce_element
 
     assert reduce_element(img, w) == img
