@@ -361,9 +361,6 @@ class Scalar:
                 return ZERO
             return Scalar._reduced(*_coprime(num, d1))
         g = _pgcd(d1, d2)
-        if max(g) == 0:
-            num = _padd(_pmul(self._num, d2), _pmul(other._num, d1))
-            return Scalar._reduced(num, _pmul(d1, d2))
         d1g, d2g = _pdiv_exact(d1, g), _pdiv_exact(d2, g)
         # Henrici: only a factor of g can cancel.  num is nonzero: a zero sum
         # would make self and -other equal canonical forms over unequal d1, d2

@@ -81,12 +81,15 @@ def d_gen(node, degree):
     return GenId(FLAVOR_D, node, degree)
 
 
-class RelationTable(namedtuple("RelationTable", "sort_key central_commutator")):
+class RelationTable(namedtuple("RelationTable", "sort_key central_commutator admits")):
     """A presentation with central commutators and a total order on generators.
 
-    central_commutator(a, b) returns {gamma_half_exponent: Scalar} for
-    [a, b] = ab - ba; it must be antisymmetric.  sort_key defines the normal
-    order: a word is normal iff its keys are nondecreasing.
+    admits(gen) is true exactly for the generators of the presentation; the
+    engine rejects every other generator where a word enters a reduction, so
+    central_commutator sees only admitted generators.  central_commutator(a, b)
+    returns {gamma_half_exponent: Scalar} for [a, b] = ab - ba; it must be
+    antisymmetric.  sort_key defines the normal order: a word is normal iff its
+    keys are nondecreasing.
     """
 
     __slots__ = ()
@@ -209,7 +212,17 @@ def _bump(acc, key, coeff):
         acc[key] = v
 
 
+def _check_generators(words, table: RelationTable):
+    """Raise ValueError naming the first generator of these words that table
+    does not admit; each distinct generator is tested once."""
+    for gen in dict.fromkeys(gen for word in words for gen in word):
+        if not table.admits(gen):
+            raise ValueError(f"generator {gen.render()} is not in this presentation")
+
+
 def _reduce(pending, table, strategy="leftmost"):
+    # every word reduction creates is built from these generators
+    _check_generators((word for word, _ in pending), table)
     key = table.sort_key
     done = {}
     while pending:

@@ -285,13 +285,8 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
         if not self.phi.constant_on_window(N):
             verdict = Verdict("INFINITE")
         elif self.phi.is_constant():
-            side = -self.phi.constant_sign()  # sign of occupied degrees
-            if n == 0:
-                verdict = Verdict("FINITE", 1)
-            elif n * side < 0:
-                verdict = Verdict("FINITE", 0)
-            else:
-                verdict = Verdict("FINITE", partition_count(abs(n)))
+            # occupied degrees have the sign -phi; partition_count is 0 below 0
+            verdict = Verdict("FINITE", partition_count(-self.phi.constant_sign() * n))
         else:
             verdict = Verdict("UNKNOWN_AT_TRUNCATION")
         return GradedDimReport(n, count, verdict)

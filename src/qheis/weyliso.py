@@ -25,11 +25,11 @@ from .qscalar import ONE, qint
 from .termalg import (
     FLAVOR_D,
     FLAVOR_H,
-    FLAVOR_HP,
     FLAVOR_X,
     AlgebraElement,
     GenId,
     RelationTable,
+    _check_generators,
     commutator,
     d_gen,
     generator_key,
@@ -51,20 +51,22 @@ def weyl_relation_table() -> RelationTable:
     """[D_{ik}, X_{ik}] = 1; all other generator pairs commute."""
 
     def comm(a: GenId, b: GenId):
-        fa, fb = a.flavor, b.flavor
-        if fa not in (FLAVOR_X, FLAVOR_D) or fb not in (FLAVOR_X, FLAVOR_D):
-            raise ValueError(f"unexpected generators {a!r}, {b!r} in Weyl presentation")
-        if fa == fb or a.node != b.node or a.degree != b.degree:
+        if a.flavor == b.flavor or a.node != b.node or a.degree != b.degree:
             return {}
-        return {0: ONE if fa == FLAVOR_D else -ONE}
+        return {0: ONE if a.flavor == FLAVOR_D else -ONE}
 
-    return RelationTable(generator_key, comm)
+    return RelationTable(generator_key, comm, lambda g: g.flavor in (FLAVOR_X, FLAVOR_D))
 
 
-def _substitute(x: AlgebraElement, rename, table: RelationTable) -> AlgebraElement:
-    """x with every generator replaced by its image under rename, a (factor or
-    None, generator) pair, each term scaled by its factors, in normal form
-    under table.  rename is one-to-one, so no two terms meet before reduction."""
+def _substitute(x: AlgebraElement, rename, source: RelationTable,
+                target: RelationTable) -> AlgebraElement:
+    """x, an element of the source presentation without gamma, with every
+    generator replaced by its image under rename, a (factor or None, generator)
+    pair, each term scaled by its factors, in normal form under target.  rename
+    is one-to-one, so no two terms meet before reduction."""
+    if any(g for (_, g), _ in x.items()):
+        raise UnspecializedGamma("gamma is still formal; specialize it first")
+    _check_generators((word for (word, _), _ in x.items()), source)
     terms = {}
     for (word, g), coeff in x.items():
         new = []
@@ -73,7 +75,7 @@ def _substitute(x: AlgebraElement, rename, table: RelationTable) -> AlgebraEleme
                 coeff = coeff * factor
             new.append(gen)
         terms[(tuple(new), g)] = coeff
-    return reduce_element(AlgebraElement(terms), table)
+    return reduce_element(AlgebraElement(terms), target)
 
 
 class WeylIsomorphism(namedtuple("WeylIsomorphism", "level")):
@@ -91,26 +93,20 @@ class WeylIsomorphism(namedtuple("WeylIsomorphism", "level")):
         """Substitute h_{ik} -> [k*level]_q D_{ik}, h'_{i,-k} -> X_{ik} and normal-order.
         x must be in the decoupled basis, with gamma specialized to q^level."""
         def rename(gen):
-            if gen.flavor == FLAVOR_H and gen.degree > 0:
+            if gen.flavor == FLAVOR_H:
                 return qint(gen.degree * self.level), d_gen(gen.node, gen.degree)
-            if gen.flavor == FLAVOR_HP and gen.degree < 0:
-                return None, x_gen(gen.node, -gen.degree)
-            raise ValueError(f"generator {gen!r} is not in the decoupled basis")
+            return None, x_gen(gen.node, -gen.degree)
 
-        if any(g for (_, g), _ in x.items()):
-            raise UnspecializedGamma("gamma is still formal; specialize it first")
-        return _substitute(x, rename, weyl_relation_table())
+        return _substitute(x, rename, oscillator_table(self.level), weyl_relation_table())
 
     def inverse_image(self, y: AlgebraElement) -> AlgebraElement:
         """Substitute D_{ik} -> h_{ik} / [k*level]_q, X_{ik} -> h'_{i,-k} and normal-order."""
         def rename(gen):
             if gen.flavor == FLAVOR_D:
                 return ONE / qint(gen.degree * self.level), h_gen(gen.node, gen.degree)
-            if gen.flavor == FLAVOR_X:
-                return None, hp_gen(gen.node, -gen.degree)
-            raise ValueError(f"generator {gen!r} is not a Weyl generator")
+            return None, hp_gen(gen.node, -gen.degree)
 
-        return _substitute(y, rename, oscillator_table(self.level))
+        return _substitute(y, rename, weyl_relation_table(), oscillator_table(self.level))
 
 
 def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,

@@ -152,12 +152,15 @@ MUTANTS = [
     ("cartan.py", '"B": (n >= 3, None, (n, n - 1, -2)),', '"B": (n >= 3, None, (n - 1, n, -2)),',
      [CARTAN + "test_affine_matrices_against_tables"]),
     # one bracket branch per presentation: the structure constant read in the
-    # order given, and a generator of another presentation let through
+    # order given; the decoupled presentation admitting any loop generator, and
+    # the engine admitting every generator at the entry of a reduction
     ("heisenberg.py", "pos, neg = (a, b) if a.degree > 0 else (b, a)", "pos, neg = a, b",
      [HEIS + "test_loop_table_antisymmetric_including_mixed_lengths"]),
-    ("heisenberg.py", "        if fa not in (FLAVOR_H, FLAVOR_HP) or fb not in (FLAVOR_H, FLAVOR_HP):\n"
-     "            raise ValueError(", "        if False:\n            raise ValueError(",
-     [HEIS + "test_oscillator_table_rejects_foreign_flavors"]),
+    ("heisenberg.py", "lambda g: g.flavor == (FLAVOR_H if g.degree > 0 else FLAVOR_HP)",
+     "lambda g: g.flavor in (FLAVOR_H, FLAVOR_HP)",
+     [HEIS + "test_oscillator_table_rejects_a_generator_on_the_wrong_side"]),
+    ("termalg.py", "        if not table.admits(gen):\n            raise", "        if False:\n            raise",
+     ["tests/test_termalg.py::test_every_entry_point_checks_its_generators"]),
     # one residue rule: the sum of the side residues, where opposite errors
     # cancel, and the first side read alone
     ("heisenberg.py", "residue = next((r for r in residues if not r.is_zero), residues[0])",
@@ -205,6 +208,10 @@ MUTANTS = [
      [VERMA + "test_phi_signature_parse_render_eval"]),
     ("weyliso.py", "return qint(gen.degree * self.level)", "return qint(gen.degree + self.level)",
      [WEYL + "test_image_generator_assignments"]),
+    # the one gamma check of the Weyl map, in both directions
+    ("weyliso.py", "    if any(g for (_, g), _ in x.items()):\n"
+     '        raise UnspecializedGamma("gamma is still formal; specialize it first")\n', "",
+     [WEYL + "test_inverse_image_rejects_gamma_as_image_does"]),
     # --flag=-- keeps "--" as its value
     ("cli.py", 'if action.option_strings and arg_strings == ["--"]:', "if False:",
      ["tests/test_cli.py::test_double_dash_is_a_signature_within_its_token"]),

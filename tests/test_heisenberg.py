@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -286,8 +287,8 @@ def test_loop_table_antisymmetric_including_mixed_lengths():
 def test_loop_table_rejects_foreign_flavors():
     alg = HeisenbergAlgebra(load_type("A", 1))
     t = relation_table(alg)
-    with pytest.raises(ValueError):
-        t.central_commutator(a_gen(1), a_gen(-1))
+    with pytest.raises(ValueError, match=r"generator a\[1\] is not in this presentation"):
+        normal_order([a_gen(1), a_gen(-1)], t)
 
 
 @pytest.mark.parametrize("level", [None, -2, 1, 3])
@@ -306,25 +307,27 @@ def test_oscillator_table_antisymmetric(level):
 
 def test_oscillator_table_rejects_foreign_flavors():
     t = oscillator_table()
-    with pytest.raises(ValueError):
-        t.central_commutator(hp_gen(1, -1), x_gen(1, 1))
-    with pytest.raises(ValueError):
-        t.central_commutator(a_gen(1), a_gen(-1))
+    with pytest.raises(ValueError, match=r"generator X\[1,1\] is not in this presentation"):
+        normal_order([hp_gen(1, -1), x_gen(1, 1)], t)
+    with pytest.raises(ValueError, match=r"generator a\[1\] is not in this presentation"):
+        normal_order([a_gen(1), a_gen(-1)], t)
 
 
 @pytest.mark.parametrize("wrong", [h_gen(1, -1), hp_gen(1, 1)])
 def test_oscillator_table_rejects_a_generator_on_the_wrong_side(wrong):
     # the decoupled basis has h in positive and h' in negative degrees only
     t = oscillator_table(2)
+    named = re.escape(f"generator {wrong.render()} is not in this presentation")
     for other in (h_gen(1, 1), hp_gen(1, -1)):
-        with pytest.raises(ValueError, match="in the decoupled presentation"):
-            t.central_commutator(wrong, other)
-        with pytest.raises(ValueError, match="in the decoupled presentation"):
-            t.central_commutator(other, wrong)
+        with pytest.raises(ValueError, match=named):
+            normal_order([wrong, other], t)
+        with pytest.raises(ValueError, match=named):
+            normal_order([other, wrong], t)
 
 
 def test_single_copy_table_rejects_foreign_flavors():
     t = single_heisenberg_table()
-    for a, b in [(h_gen(1, 1), a_gen(-1)), (a_gen(1), hp_gen(1, -1))]:
-        with pytest.raises(ValueError, match="single-copy presentation"):
-            t.central_commutator(a, b)
+    for a, b, named in [(h_gen(1, 1), a_gen(-1), r"h\[1,1\]"),
+                        (a_gen(1), hp_gen(1, -1), r"h'\[1,-1\]")]:
+        with pytest.raises(ValueError, match=f"generator {named} is not in this presentation"):
+            normal_order([a, b], t)

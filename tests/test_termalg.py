@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qheis.heisenberg import gamma_bracket, single_heisenberg_table
+from qheis.cartan import load_type
+from qheis.heisenberg import (
+    HeisenbergAlgebra,
+    gamma_bracket,
+    oscillator_table,
+    relation_table,
+    single_heisenberg_table,
+)
 from qheis.qscalar import ONE, ZERO, Scalar, qint, s_power
 from qheis.termalg import (
     AlgebraElement,
@@ -15,8 +22,10 @@ from qheis.termalg import (
     commutator,
     d_gen,
     h_gen,
+    hp_gen,
     multiply,
     normal_order,
+    reduce_element,
     render_element,
     x_gen,
 )
@@ -66,6 +75,41 @@ def test_elements_refuse_other_operands():
 def test_an_unknown_strategy_is_rejected():
     with pytest.raises(ValueError, match="unknown strategy 'middle'"):
         normal_order([a_gen(1), a_gen(-1)], single_heisenberg_table(), strategy="middle")
+
+
+# (presentation, a foreign generator, a sorted two-letter word that is
+# foreign in its second letter or, for the single copy, its first)
+FOREIGN = [
+    (lambda: relation_table(HeisenbergAlgebra(load_type("A", 1))), x_gen(1, 1),
+     (h_gen(1, -1), a_gen(2))),
+    (lambda: oscillator_table(2), h_gen(1, -1), (hp_gen(1, -1), hp_gen(1, 1))),
+    (lambda: single_heisenberg_table(1), h_gen(1, 1), (h_gen(1, -1), a_gen(2))),
+    (weyl_relation_table, a_gen(1), (x_gen(1, 1), h_gen(1, 1))),
+]
+
+
+@pytest.mark.parametrize("make, foreign, word", FOREIGN,
+                         ids=["loop", "decoupled", "single-copy", "weyl"])
+def test_a_foreign_generator_is_rejected_where_no_swap_reaches_it(make, foreign, word):
+    t = make()
+    assert [t.sort_key(g) for g in word] == sorted(t.sort_key(g) for g in word)
+    with pytest.raises(ValueError, match="is not in this presentation"):
+        normal_order([foreign], t)
+    with pytest.raises(ValueError, match="is not in this presentation"):
+        normal_order(word, t)
+
+
+def test_every_entry_point_checks_its_generators():
+    t = single_heisenberg_table()
+    a, h = AlgebraElement.from_gen(a_gen(-1)), AlgebraElement.from_gen(h_gen(1, 1))
+    named = r"generator h\[1,1\] is not in this presentation"
+    for call in (lambda: multiply(a, h, t), lambda: commutator(a, h, t),
+                 lambda: reduce_element(a + h, t)):
+        with pytest.raises(ValueError, match=named):
+            call()
+    # the first foreign generator in word order is the one named
+    with pytest.raises(ValueError, match=r"generator X\[1,1\] is"):
+        normal_order([a_gen(1), x_gen(1, 1), h_gen(1, 1)], t)
 
 
 def test_normal_order_oscillator_pair_formal():
@@ -250,7 +294,7 @@ def _random_central_table(rng, size=4):
     def key(g):
         return (g.degree,)
 
-    return gens, RelationTable(key, comm)
+    return gens, RelationTable(key, comm, set(gens).__contains__)
 
 
 def test_confluence_random_tables_and_words():

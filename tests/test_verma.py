@@ -17,7 +17,7 @@ import qheis.verma as verma
 from qheis.heisenberg import central_bracket
 from qheis.linalg import det
 from qheis.qscalar import ONE, ZERO, power_product, qint
-from qheis.termalg import AlgebraElement, RelationTable, a_gen, reduce_element
+from qheis.termalg import FLAVOR_A, AlgebraElement, RelationTable, a_gen, reduce_element
 from qheis.verma import (
     EmptyComponent,
     PhiSignature,
@@ -60,7 +60,8 @@ def rewriting_table(module):
     def comm(a, b):
         return central_bracket(a.degree, module.level) if a.degree + b.degree == 0 else {}
 
-    return RelationTable(lambda g: (0 if is_lowering(module, g) else 1, g.degree), comm)
+    return RelationTable(lambda g: (0 if is_lowering(module, g) else 1, g.degree), comm,
+                         lambda g: g.flavor == FLAVOR_A)
 
 
 def monomial_word(module, exps, raising=False):
