@@ -179,7 +179,7 @@ def _parse_vdims(text):
         else:
             raise ValueError(f'--vdims: dimension at degree {key} must be a nonnegative '
                              f'integer or "inf", got {val!r}')
-    return GradedDims(counts, frozenset(infinite), (min(counts), max(counts)))
+    return GradedDims(counts, frozenset(infinite))
 
 
 def _cmd_loop_mult(args):

@@ -33,7 +33,7 @@ __all__ = [
     "inverse_structure_matrix", "primed_generators", "relation_table",
     "oscillator_table", "verify_canonical_relations", "RelationCheck",
     "single_heisenberg_table", "central_bracket", "gamma_bracket",
-    "report_to_json",
+    "report_to_json", "UnspecializedGamma",
 ]
 
 
@@ -43,6 +43,17 @@ class ZeroK(ValueError):
 
 class ZeroLevel(ValueError):
     pass
+
+
+class UnspecializedGamma(ValueError):
+    pass
+
+
+def _nonzero_level(level):
+    """level, unless it is 0: gamma = q^level is specialized only at a nonzero level."""
+    if level == 0:
+        raise ZeroLevel("level must be nonzero when specialized")
+    return level
 
 
 class StructureConvention(str, Enum):
@@ -67,9 +78,7 @@ class HeisenbergAlgebra(namedtuple("HeisenbergAlgebra", "cartan convention level
     def __new__(cls, cartan, convention=StructureConvention.QJ_BRACKET, level=None):
         # a str equal to a member shares its cache entries, so it must be that member
         convention = StructureConvention(convention)
-        if level == 0:
-            raise ZeroLevel("level must be nonzero when specialized")
-        return super().__new__(cls, cartan, convention, level)
+        return super().__new__(cls, cartan, convention, _nonzero_level(level))
 
 
 @lru_cache(maxsize=None)
@@ -149,8 +158,7 @@ def relation_table(alg: HeisenbergAlgebra) -> RelationTable:
 def oscillator_table(level: int | None = None) -> RelationTable:
     """The decoupled presentation on {h positive, h' negative}: h and h' on one node
     in opposite degrees bracket to the gamma bracket of the left degree, odd in k."""
-    if level == 0:
-        raise ZeroLevel("level must be nonzero when specialized")
+    _nonzero_level(level)
 
     def comm(a: GenId, b: GenId):
         if a.flavor == b.flavor or a.node != b.node or a.degree + b.degree != 0:
@@ -182,43 +190,48 @@ def report_to_json(checks):
     return [c.to_json() for c in checks]
 
 
-def _check_relations(alg: HeisenbergAlgebra, max_k: int, relations):
-    """One RelationCheck per relation and per (i, j, k, l) in [1, n]^2 x [1, max_k]^2.
+def _check_relations(alg: HeisenbergAlgebra, max_k: int, prefix: str, sides):
+    """One RelationCheck per decoupled relation and per (i, j, k, l) in
+    [1, n]^2 x [1, max_k]^2, in (i, j, k, l) order, then relation order:
 
-    relations is a sequence of (name, fn); fn(i, j, k, l, primed) returns
-    (sides, expected), where primed[(j, l)] is h'_{j,-l} expanded in the
-    unprimed generators.  A check passes only when every side equals expected:
-    its lhs is the first side, its rhs the second side or else expected, and its
-    residue the first nonzero side - expected.  Checks come in (i, j, k, l) order,
-    then relation order.
+        pairing      [h_{ik}, h'_{j,-l}] = the gamma bracket of k if (i, k) == (j, l), else 0
+        pos-commute  [h_{ik}, h_{jl}] = 0
+        neg-commute  [h'_{i,-k}, h'_{j,-l}] = 0
+
+    each name led by prefix.  sides(i, j, k, l, primed) returns one tuple of
+    sides per relation, in that order, where primed[(j, l)] is h'_{j,-l}
+    expanded in the unprimed generators.  A check passes only when every side
+    equals the expected value: its lhs is the first side, its rhs the second
+    side or else the expected value, and its residue the first nonzero side -
+    expected.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     n = alg.cartan.rank
     primed = {(j, l): p for l in range(1, max_k + 1)
               for j, p in enumerate(primed_generators(alg, l), start=1)}
+    bracket = {k: AlgebraElement({((), g): v for g, v in gamma_bracket(k, alg.level).items()})
+               for k in range(1, max_k + 1)}
+    names = [prefix + name for name in ("pairing", "pos-commute", "neg-commute")]
+    zero = AlgebraElement.zero()
     checks = []
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, max_k + 1):
                 for l in range(1, max_k + 1):
-                    for name, fn in relations:
-                        sides, expected = fn(i, j, k, l, primed)
-                        residues = [side - expected for side in sides]
+                    pairing = bracket[k] if (i, k) == (j, l) else zero
+                    for name, computed, expected in zip(names, sides(i, j, k, l, primed),
+                                                        (pairing, zero, zero)):
+                        residues = [side - expected for side in computed]
                         residue = next((r for r in residues if not r.is_zero), residues[0])
-                        rhs = sides[1] if len(sides) > 1 else expected
+                        rhs = computed[1] if len(computed) > 1 else expected
                         checks.append(RelationCheck(
-                            f"{name}[i={i},j={j},k={k},l={l}]", sides[0], rhs, residue))
+                            f"{name}[i={i},j={j},k={k},l={l}]", computed[0], rhs, residue))
     return checks
 
 
-def _pairing(alg: HeisenbergAlgebra, table: RelationTable, i, j, k, l, primed):
-    """[h_{ik}, h'_{j,-l}] through the defining presentation, and its expected
-    central value: the gamma bracket when (i, k) == (j, l), else zero."""
-    lhs = commutator(AlgebraElement.from_gen(h_gen(i, k)), primed[(j, l)], table)
-    if i == j and k == l:
-        return lhs, AlgebraElement({((), g): v for g, v in gamma_bracket(k, alg.level).items()})
-    return lhs, AlgebraElement.zero()
+def _h(i: int, k: int) -> AlgebraElement:
+    return AlgebraElement.from_gen(h_gen(i, k))
 
 
 def verify_canonical_relations(alg: HeisenbergAlgebra, max_k: int):
@@ -230,21 +243,12 @@ def verify_canonical_relations(alg: HeisenbergAlgebra, max_k: int):
     """
     table = relation_table(alg)
 
-    def h(i, k):
-        return AlgebraElement.from_gen(h_gen(i, k))
+    def sides(i, j, k, l, primed):
+        return ((commutator(_h(i, k), primed[(j, l)], table),),
+                (commutator(_h(i, k), _h(j, l), table),),
+                (commutator(primed[(i, k)], primed[(j, l)], table),))
 
-    def pairing(i, j, k, l, primed):
-        lhs, expected = _pairing(alg, table, i, j, k, l, primed)
-        return (lhs,), expected
-
-    def pos_commute(i, j, k, l, primed):
-        return (commutator(h(i, k), h(j, l), table),), AlgebraElement.zero()
-
-    def neg_commute(i, j, k, l, primed):
-        return (commutator(primed[(i, k)], primed[(j, l)], table),), AlgebraElement.zero()
-
-    return _check_relations(alg, max_k, [("pairing", pairing), ("pos-commute", pos_commute),
-                                        ("neg-commute", neg_commute)])
+    return _check_relations(alg, max_k, "", sides)
 
 
 @lru_cache(maxsize=None)
@@ -261,8 +265,7 @@ def central_bracket(k: int, level: int | None):
 
 def single_heisenberg_table(level: int | None = None) -> RelationTable:
     """Relations of the single-copy oscillator family a_k, optionally at gamma = q^level."""
-    if level == 0:
-        raise ZeroLevel("level must be nonzero when specialized")
+    _nonzero_level(level)
 
     def comm(a: GenId, b: GenId):
         if a.degree + b.degree != 0:

@@ -25,13 +25,12 @@ class NotInSupport(ValueError):
     pass
 
 
-class GradedDims(namedtuple("GradedDims", "counts infinite window",
-                            defaults=(frozenset(), (0, 0)))):
-    """Graded dimensions of an inducing module over a window of shift degrees.
+class GradedDims(namedtuple("GradedDims", "counts infinite", defaults=(frozenset(),))):
+    """Graded dimensions of an inducing module by shift degree.
 
-    counts holds truncated dimensions; degrees in `infinite` are known to be
-    infinite-dimensional in the untruncated module (the count is then only a
-    window figure).
+    counts holds truncated dimensions, and a degree it lacks has none; degrees
+    in `infinite` are known to be infinite-dimensional in the untruncated
+    module (the count is then only a window figure).
     """
 
     __slots__ = ()
@@ -41,11 +40,11 @@ class GradedDims(namedtuple("GradedDims", "counts infinite window",
 
     @classmethod
     def line(cls, degree: int = 0):
-        return cls({degree: 1}, frozenset(), (degree, degree))
+        return cls({degree: 1})
 
     @classmethod
     def constant_line(cls, lo: int, hi: int):
-        return cls({m: 1 for m in range(lo, hi + 1)}, frozenset(), (lo, hi))
+        return cls({m: 1 for m in range(lo, hi + 1)})
 
 
 class MultiplicityReport(namedtuple("MultiplicityReport",
@@ -151,7 +150,7 @@ def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDi
                      for i in range(1, trunc.max_index + 1))
         series = _factor_product(degs, trunc.max_exponent)
         counts = {m: c for m, c in series.items() if lo <= m <= hi}
-        return GradedDims(counts, frozenset(range(lo, hi + 1)), (lo, hi))
+        return GradedDims(counts, frozenset(range(lo, hi + 1)))
     # every node constant with the same sign: all supports lie on one side,
     # and the series is prod_m (1 - x^(side*m))^(-rank), read at side * t for
     # t from the window's near end to its far end
@@ -159,7 +158,7 @@ def phi_verma_graded_dims(phis, lo: int, hi: int, trunc: Truncation) -> GradedDi
     near, far = (lo, hi) if side > 0 else (-hi, -lo)
     table = partition_series(len(phis), far)
     counts = {side * t: table[t] for t in range(max(near, 0), far + 1)}
-    return GradedDims(counts, frozenset(), (lo, hi))
+    return GradedDims(counts)
 
 
 def phi_verma_weight_dim(cartan: CartanData, phis, beta, k: int, max_abs_k: int,

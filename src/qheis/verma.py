@@ -14,7 +14,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import factorial, prod
 
-from .heisenberg import central_bracket
+from .heisenberg import UnspecializedGamma, central_bracket
 from .qscalar import ONE, ZERO, Scalar, power_product
 
 __all__ = [
@@ -296,7 +296,7 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
     def _pairing_scalar(self, i: int) -> Scalar:
         """c_i, the central value of [a_i, a_{-i}] at the module's level."""
         if self.level is None:
-            raise ValueError("gamma must be specialized to a level")
+            raise UnspecializedGamma("gamma is still formal; specialize it first")
         return central_bracket(i, self.level).get(0, ZERO)
 
     def vacuum_pairing(self, u_exps, w_exps) -> Scalar:
@@ -381,14 +381,12 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
                            "max_exponent": self.truncation.max_exponent},
         }
 
-    def report(self, degrees=None) -> dict:
-        if degrees is None:
-            N = self.truncation.max_index
-            degrees = range(-N, N + 1)
+    def report(self) -> dict:
+        N = self.truncation.max_index
         irr = self.irreducible_at_truncation()
         return {
             **self.header(),
-            "degrees": [self.graded_dim(n).to_json() for n in degrees],
+            "degrees": [self.graded_dim(n).to_json() for n in range(-N, N + 1)],
             "gram": [{"n": n, "det": str(d), "nonzero": not d.is_zero}
                      for n, d in irr.gram_dets],
             "verdict": irr.verdict,

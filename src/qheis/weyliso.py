@@ -15,9 +15,11 @@ from .cartan import CartanData
 from .heisenberg import (
     HeisenbergAlgebra,
     StructureConvention,
+    UnspecializedGamma,
     ZeroLevel,
     _check_relations,
-    _pairing,
+    _h,
+    _nonzero_level,
     oscillator_table,
     relation_table,
 )
@@ -41,10 +43,6 @@ from .termalg import (
 
 __all__ = ["UnspecializedGamma", "ZeroLevel", "WeylIsomorphism", "weyl_relation_table",
            "verify_weyl_iso"]
-
-
-class UnspecializedGamma(ValueError):
-    pass
 
 
 def weyl_relation_table() -> RelationTable:
@@ -85,9 +83,7 @@ class WeylIsomorphism(namedtuple("WeylIsomorphism", "level")):
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, level):
-        if level == 0:
-            raise ZeroLevel("level must be nonzero")
-        return super().__new__(cls, level)
+        return super().__new__(cls, _nonzero_level(level))
 
     def image(self, x: AlgebraElement) -> AlgebraElement:
         """Substitute h_{ik} -> [k*level]_q D_{ik}, h'_{i,-k} -> X_{ik} and normal-order.
@@ -120,19 +116,13 @@ def verify_weyl_iso(cartan: CartanData, level: int, max_k: int,
     # images under the shipped map, so that the check covers it
     image = WeylIsomorphism(level).image
     indices = [(i, k) for i in range(1, cartan.rank + 1) for k in range(1, max_k + 1)]
-    d = {(i, k): image(AlgebraElement.from_gen(h_gen(i, k))) for i, k in indices}
+    d = {(i, k): image(_h(i, k)) for i, k in indices}
     x = {(i, k): image(AlgebraElement.from_gen(hp_gen(i, -k))) for i, k in indices}
 
-    def pairing(i, j, k, l, primed):
-        heis_side, expected = _pairing(alg, loop, i, j, k, l, primed)
-        return (heis_side, commutator(d[(i, k)], x[(j, l)], weyl)), expected
+    def sides(i, j, k, l, primed):
+        return ((commutator(_h(i, k), primed[(j, l)], loop),
+                 commutator(d[(i, k)], x[(j, l)], weyl)),
+                (commutator(d[(i, k)], d[(j, l)], weyl),),
+                (commutator(x[(i, k)], x[(j, l)], weyl),))
 
-    def pos_commute(i, j, k, l, primed):
-        return (commutator(d[(i, k)], d[(j, l)], weyl),), AlgebraElement.zero()
-
-    def neg_commute(i, j, k, l, primed):
-        return (commutator(x[(i, k)], x[(j, l)], weyl),), AlgebraElement.zero()
-
-    return _check_relations(alg, max_k, [("weyl-pairing", pairing),
-                                         ("weyl-pos-commute", pos_commute),
-                                         ("weyl-neg-commute", neg_commute)])
+    return _check_relations(alg, max_k, "weyl-", sides)

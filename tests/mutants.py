@@ -166,17 +166,24 @@ MUTANTS = [
     ("heisenberg.py", "residue = next((r for r in residues if not r.is_zero), residues[0])",
      "residue = sum(residues[1:], residues[0])",
      [WEYL + "test_errors_on_the_two_sides_of_a_pairing_do_not_cancel"]),
-    ("heisenberg.py", "residues = [side - expected for side in sides]",
-     "residues = [sides[0] - expected]",
+    ("heisenberg.py", "residues = [side - expected for side in computed]",
+     "residues = [computed[0] - expected]",
      [WEYL + "test_verify_weyl_iso_checks_the_shipped_map"]),
-    # a convention string becomes its member; the pairing expects the bracket
-    # on the diagonal only, in both verifiers
+    # a convention string becomes its member; the one driver expects the
+    # pairing's bracket on the diagonal only, in both verifiers
     ("heisenberg.py", "        convention = StructureConvention(convention)\n", "",
      [HEIS + "test_a_convention_string_is_its_member_in_either_call_order",
       HEIS + "test_an_unknown_convention_is_rejected",
       WEYL + "test_a_convention_string_verifies_as_its_member"]),
-    ("heisenberg.py", "    if i == j and k == l:\n        return lhs,", "    if i == j:\n        return lhs,",
+    ("heisenberg.py", "bracket[k] if (i, k) == (j, l) else zero", "bracket[k] if i == j else zero",
      [HEIS + "test_verify_canonical_relations_a2", WEYL + "test_verify_weyl_iso_small"]),
+    # the one nonzero-level check, and the one formal-gamma check of the
+    # pairing scalar
+    ("heisenberg.py", '    if level == 0:\n        raise ZeroLevel("level must be nonzero when specialized")\n',
+     "", [HEIS + "test_level_zero_rejected"]),
+    ("verma.py", "        if self.level is None:\n            raise UnspecializedGamma(",
+     "        if False:\n            raise UnspecializedGamma(",
+     [VERMA + "test_unspecialized_gamma_is_rejected"]),
     # the loop presentation's node range, and the degree-zero brackets
     ("heisenberg.py", "if not (1 <= i <= n and 1 <= j <= n):", "if not (1 <= i <= n or 1 <= j <= n):",
      [HEIS + "test_structure_constant_rejects_nodes_out_of_range"]),

@@ -195,7 +195,7 @@ def test_criterion_8_multiplicity_oracle_agreement():
     vdims_cases = [
         GradedDims.line(0),
         GradedDims.constant_line(-4, 4),
-        GradedDims({m: max(0, 3 - abs(m)) for m in range(-3, 4)}, frozenset(), (-3, 3)),
+        GradedDims({m: max(0, 3 - abs(m)) for m in range(-3, 4)}, frozenset()),
     ]
     for series, rank in [("A", 1), ("A", 2)]:
         cd = load_type(series, rank)

@@ -293,6 +293,7 @@ def test_closed_stdout_exits_quietly(unbuffered):
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     child.stdout.close()
     err = child.stderr.read()
+    child.stderr.close()
     assert child.wait() == 141
     assert err == b""
 

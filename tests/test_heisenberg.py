@@ -74,11 +74,12 @@ def test_brackets_at_degree_zero_raise_zero_k(level):
 
 
 def test_level_zero_rejected():
-    with pytest.raises(ZeroLevel):
+    zero_level = "level must be nonzero when specialized"
+    with pytest.raises(ZeroLevel, match=zero_level):
         HeisenbergAlgebra(load_type("A", 1), QJ, 0)
-    with pytest.raises(ZeroLevel):
+    with pytest.raises(ZeroLevel, match=zero_level):
         single_heisenberg_table(0)
-    with pytest.raises(ZeroLevel):
+    with pytest.raises(ZeroLevel, match=zero_level):
         oscillator_table(0)
 
 

@@ -93,12 +93,12 @@ def test_single_factor_window_count():
 
 def test_beta_zero_column_is_inducing_dimension():
     cd = load_type("A", 1)
-    vdims = GradedDims({-2: 5, 0: 1, 3: 2}, frozenset(), (-2, 3))
+    vdims = GradedDims({-2: 5, 0: 1, 3: 2})
     for k in (-2, 0, 1, 3):
         rep = weight_multiplicity(cd, (0,), k, vdims, 3)
         assert rep.truncated_count == vdims.dim(k)[0]
         assert rep.verdict.render() == f"FINITE({vdims.dim(k)[0]})"
-    marked = GradedDims({0: 4}, frozenset({0}), (0, 0))
+    marked = GradedDims({0: 4}, frozenset({0}))
     assert weight_multiplicity(cd, (0,), 0, marked, 2).verdict.kind == "INFINITE"
 
 
@@ -131,8 +131,7 @@ def test_negative_window_rejected():
 @pytest.mark.parametrize("series,rank", [("A", 1), ("A", 2)])
 def test_counts_match_brute_force(series, rank):
     cd = load_type(series, rank)
-    vdims = GradedDims({m: max(0, 2 - abs(m)) for m in range(-4, 5)},
-                       frozenset(), (-4, 4))
+    vdims = GradedDims({m: max(0, 2 - abs(m)) for m in range(-4, 5)})
     betas = [b for b in itertools.product(range(4), repeat=rank) if sum(b) <= 3]
     for beta in betas:
         for k in range(-3, 4):

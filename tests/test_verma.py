@@ -14,7 +14,7 @@ from oracles import (
 )
 
 import qheis.verma as verma
-from qheis.heisenberg import central_bracket
+from qheis.heisenberg import UnspecializedGamma, central_bracket
 from qheis.linalg import det
 from qheis.qscalar import ONE, ZERO, power_product, qint
 from qheis.termalg import FLAVOR_A, AlgebraElement, RelationTable, a_gen, reduce_element
@@ -84,7 +84,7 @@ def act_by_rewriting(module, j, exps):
     out = {}
     for (w, g), coeff in reduced.items():
         if g != 0:
-            raise ValueError("gamma must be specialized to a level")
+            raise UnspecializedGamma("gamma is still formal; specialize it first")
         if any(not is_lowering(module, t) for t in w):
             continue  # a raising factor reaches the highest vector
         image = [0] * N
@@ -507,9 +507,9 @@ def test_irreducible_at_truncation_builds_no_basis(monkeypatch):
 def test_unspecialized_gamma_is_rejected():
     # a formal level leaves gamma powers that no basis vector carries
     m = build_module(PLUS, None, Truncation(2, 2))
-    with pytest.raises(ValueError, match="gamma"):
+    with pytest.raises(UnspecializedGamma, match="gamma is still formal"):
         m.act(1, (1, 0))
-    with pytest.raises(ValueError, match="gamma"):
+    with pytest.raises(UnspecializedGamma, match="gamma is still formal"):
         m.vacuum_pairing((1, 0), (1, 0))
 
 
@@ -540,11 +540,11 @@ def test_irreducible_verdicts():
 
 def test_report_shape():
     m = build_module(MIXED, 1, Truncation(3, 2))
-    obj = m.report(degrees=[-1, 0, 1])
+    obj = m.report()
     assert obj["phi"] == {"prefix": "+-", "period": "+"}
     assert obj["level"] == 1
     assert obj["truncation"] == {"max_index": 3, "max_exponent": 2}
-    assert [row["n"] for row in obj["degrees"]] == [-1, 0, 1]
+    assert [row["n"] for row in obj["degrees"]] == list(range(-3, 4))
     assert all({"n", "dim", "verdict"} == set(row) for row in obj["degrees"])
     assert all({"n", "det", "nonzero"} == set(row) for row in obj["gram"])
     assert obj["verdict"] == "IRREDUCIBLE-CONSISTENT"

@@ -167,25 +167,25 @@ def test_verify_weyl_iso_checks_the_shipped_map(monkeypatch):
 
 
 def test_errors_on_the_two_sides_of_a_pairing_do_not_cancel(monkeypatch):
-    # the Heisenberg side scaled by 3/2 and the images of h_{ik} (the D side)
-    # by 1/2: against the bracket the two sides are off by +1/2 and -1/2 of
-    # it, and each pairing with k = l must fail all the same
-    import qheis.weyliso as weyliso
+    # the primed expansion (so the Heisenberg side) scaled by 3/2 and the
+    # images of h_{ik} (the D side) by 1/2: against the bracket the two sides
+    # are off by +1/2 and -1/2 of it, and each pairing with k = l must fail
+    # all the same
+    import qheis.heisenberg as heisenberg
 
     def scaled(x, c):
         return AlgebraElement({key: v * c for key, v in x.items()})
 
-    heis_pairing, shipped = weyliso._pairing, WeylIsomorphism.image
+    primed, shipped = heisenberg.primed_generators, WeylIsomorphism.image
 
-    def heis_pairing_three_halves(*args):
-        lhs, expected = heis_pairing(*args)
-        return scaled(lhs, Fraction(3, 2)), expected
+    def primed_three_halves(alg, k):
+        return [scaled(p, Fraction(3, 2)) for p in primed(alg, k)]
 
     def d_images_halved(iso, x):
         [((word, _), _)] = x.items()
         return scaled(shipped(iso, x), Fraction(1, 2) if word[0].flavor == FLAVOR_H else 1)
 
-    monkeypatch.setattr(weyliso, "_pairing", heis_pairing_three_halves)
+    monkeypatch.setattr(heisenberg, "primed_generators", primed_three_halves)
     monkeypatch.setattr(WeylIsomorphism, "image", d_images_halved)
     checks = verify_weyl_iso(load_type("A", 1), 2, 2)
     assert [c.relation_id for c in checks if not c.passed] == \
