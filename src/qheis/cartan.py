@@ -21,7 +21,7 @@ class InvalidType(ValueError):
     pass
 
 
-class IndexOutOfRange(IndexError):
+class IndexOutOfRange(ValueError, IndexError):
     pass
 
 

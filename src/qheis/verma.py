@@ -157,10 +157,10 @@ def partition_count(n: int) -> int:
 
 def _multiply_in(coeffs, deg, E):
     """Multiply the dense series coeffs (coeffs[j] counts degree lo + j) in place
-    by one index's factor sum_{e <= E} x^(e*deg), the inverse of _divide_out.
-    Terms that fall past the end of coeffs that deg points to are dropped.  The
-    factor is (1 - x^((E+1)*deg)) / (1 - x^deg): one pass multiplies by the
-    numerator, and one divides by the denominator from the other end."""
+    by one index's factor sum_{e <= E} x^(e*deg).  Terms that fall past the end
+    of coeffs that deg points to are dropped.  The factor is
+    (1 - x^((E+1)*deg)) / (1 - x^deg): one pass multiplies by the numerator,
+    and one divides by the denominator from the other end."""
     L, s = len(coeffs), (E + 1) * deg
     if deg > 0:
         if s < L:
@@ -195,19 +195,6 @@ def degree_counts(phi: PhiSignature, truncation: Truncation) -> dict:
     return _factor_product(degs, truncation.max_exponent)
 
 
-def _divide_out(counts, deg, E):
-    """The {degree: count} series with one index's factor sum_{e <= E} x^(e*deg)
-    divided out, the inverse of _multiply_in: the quotient Q has
-    Q(n) = C(n) - C(n - deg) + Q(n - (E+1)*deg), read off from the end of the
-    series that deg points away from."""
-    lo, hi = min(counts), max(counts)
-    out = {}
-    for n in (range(lo, hi + 1) if deg > 0 else range(hi, lo - 1, -1)):
-        if v := counts.get(n, 0) - counts.get(n - deg, 0) + out.get(n - (E + 1) * deg, 0):
-            out[n] = v
-    return out
-
-
 class VermaModule(namedtuple("VermaModule", "phi level truncation")):
     """A truncated imaginary Verma-type module for one oscillator family."""
 
@@ -219,25 +206,17 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
         """Exponent vectors of total degree n, in lexicographic order."""
         N, E = self.truncation.max_index, self.truncation.max_exponent
         degs = [self.phi.lowering_degree(i) for i in range(1, N + 1)]
-        # the first idx indices leave a residual in [n - top[idx], n - bottom[idx]]
-        bottom, top = [0], [0]
-        for deg in degs:
-            bottom.append(bottom[-1] + min(0, E * deg))
-            top.append(top[-1] + max(0, E * deg))
-        # reach[idx]: the residuals in that window that the indices after idx
-        # cover; a residual they cover splits into one of reach[idx + 1] and a
-        # multiple of the next degree, so the windows lose no decomposition
-        reach = [None] * N + [{0}]
+        # the indices after idx leave a residual in [lo[idx], hi[idx]]
+        lo, hi = [0] * (N + 1), [0] * (N + 1)
         for idx in range(N - 1, -1, -1):
-            lo, hi = n - top[idx], n - bottom[idx]
-            reach[idx] = {r + e * degs[idx] for r in reach[idx + 1] for e in range(E + 1)
-                          if lo <= r + e * degs[idx] <= hi}
+            lo[idx] = lo[idx + 1] + min(0, E * degs[idx])
+            hi[idx] = hi[idx + 1] + max(0, E * degs[idx])
         # extend (prefix, residual) pairs index by index, in lexicographic order,
-        # keeping a prefix only while later indices cover its residual
+        # keeping a prefix only while the later indices' bounds hold its residual
         layer = [((), n)]
         for idx, deg in enumerate(degs, start=1):
             layer = [(vec + (e,), r - e * deg) for vec, r in layer for e in range(E + 1)
-                     if r - e * deg in reach[idx]]
+                     if lo[idx] <= r - e * deg <= hi[idx]]
         return [vec for vec, _ in layer]
 
     # -- generator action ---------------------------------------------
@@ -320,13 +299,6 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
 
     # -- irreducibility at truncation -------------------------------------
 
-    def _witness_scan_order(self):
-        N = self.truncation.max_index
-        for m in range(1, N + 1):
-            yield -m
-            yield m
-        yield 0
-
     def _block_det(self, n, pairing, others) -> Scalar:
         """The determinant of the Gram block of degree n, in closed form.
 
@@ -353,22 +325,20 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
         return power_product(powers, count)
 
     def irreducible_at_truncation(self) -> IrreducibilityReport:
+        """The Gram determinant of every occupied degree in -N..N, in degree
+        order.  The witness is the zero block nearest degree 0, the negative
+        one first and degree 0 last.  A zero c_i zeroes the block at the
+        degree of index i, so REDUCIBLE is exactly a witness."""
         N, E = self.truncation.max_index, self.truncation.max_exponent
         pairing = tuple((k, self._pairing_scalar(k)) for k in range(1, N + 1))
-        counts = degree_counts(self.phi, self.truncation)
-        others = [_divide_out(counts, self.phi.lowering_degree(k), E) for k in range(1, N + 1)]
-        dets = {}
-        witness = None
-        for n in self._witness_scan_order():
-            if not counts.get(n):
-                continue
-            dets[n] = d = self._block_det(n, pairing, others)
-            if d.is_zero and witness is None:
-                witness = n
-        ok = witness is None and all(not c.is_zero for _, c in pairing)
-        verdict = "IRREDUCIBLE-CONSISTENT" if ok else "REDUCIBLE"
-        ordered = tuple(sorted(dets.items()))
-        return IrreducibilityReport(verdict, witness, pairing, ordered)
+        degs = tuple(self.phi.lowering_degree(k) for k in range(1, N + 1))
+        counts = _factor_product(degs, E)
+        others = [_factor_product(degs[:k] + degs[k + 1:], E) for k in range(N)]
+        dets = {n: self._block_det(n, pairing, others) for n in range(-N, N + 1) if counts.get(n)}
+        witness = min((n for n, d in dets.items() if d.is_zero),
+                      key=lambda n: (n == 0, abs(n), n), default=None)
+        verdict = "IRREDUCIBLE-CONSISTENT" if witness is None else "REDUCIBLE"
+        return IrreducibilityReport(verdict, witness, pairing, tuple(dets.items()))
 
     # -- reporting ---------------------------------------------------------
 

@@ -83,6 +83,8 @@ class WeylIsomorphism(namedtuple("WeylIsomorphism", "level")):
     _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, level):
+        if level is None:
+            raise UnspecializedGamma("gamma is still formal; specialize it first")
         return super().__new__(cls, _nonzero_level(level))
 
     def image(self, x: AlgebraElement) -> AlgebraElement:

@@ -34,13 +34,16 @@ WEYL = "tests/test_weyliso.py::"
 LINALG = "tests/test_linalg.py::"
 
 MUTANTS = [
-    # Gram determinants read off the degree counts: E_i off by one in e, and the
-    # numerator shift (E + 1) * deg of the divided-out factor
+    # Gram determinants read off the degree counts: E_i off by one in e, and
+    # index k's complement series keeping index k; the witness nearest degree
+    # 0 taken positive first
     ("verma.py", "total = sum(e * m for e, m in enumerate(with_e))",
      "total = sum((e + 1) * m for e, m in enumerate(with_e))",
      [VERMA + "test_gram_dets_from_the_counts_equal_the_enumerated_blocks"]),
-    ("verma.py", "out.get(n - (E + 1) * deg, 0)", "out.get(n - E * deg, 0)",
+    ("verma.py", "degs[:k] + degs[k + 1:]", "degs[:k] + degs[k:]",
      [VERMA + "test_gram_dets_from_the_counts_equal_the_enumerated_blocks"]),
+    ("verma.py", "abs(n), n)", "abs(n), -n)",
+     [VERMA + "test_the_witness_is_the_first_zero_block_in_the_scan_order"]),
     # one digit byte short in the one-pack and in the chained Kronecker product
     ("qscalar.py", "out = _kronecker(ints, nbytes)", "out = _kronecker(ints, nbytes - 1)",
      [QSCALAR + "test_power_product_of_monomials_at_the_width_bound",
@@ -114,6 +117,16 @@ MUTANTS = [
       LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
     ("loopweights.py", "for t in range(max(near, 0), far + 1)}", "for t in range(max(near, 0), far)}",
      [LOOP + "test_constant_series_table_equals_the_product_cut_at_each_window"]),
+    # the same table by the divisor-sum recurrence: equal values at O(n^2),
+    # which only the scaling pin sees
+    ("verma.py", "    for t in range(len(a), far + 1):\n"
+     "        a.append(sum(((1 - rank) * k - t) * p * a[t - k] for k, p in euler if k <= t) // t)\n",
+     "    sigma = [0] * (far + 1)\n"
+     "    for d in range(1, far + 1):\n"
+     "        sigma[d::d] = [s + d for s in sigma[d::d]]\n"
+     "    for t in range(len(a), far + 1):\n"
+     "        a.append(rank * sum(sigma[k] * a[t - k] for k in range(1, t + 1)) // t)\n",
+     ["tests/test_scaling.py::test_a_fresh_partition_table_grows_at_most_as_n_to_the_1_75"]),
     # the one phi-verdict override: a nonzero finite part left to the window
     ("loopweights.py", "if any(report.beta):", "if False:",
      [LOOP + "test_phi_verma_nonzero_beta_infinite"]),
@@ -145,6 +158,10 @@ MUTANTS = [
      [QSCALAR + "test_gcd_is_primitive_and_divides_both_operands"]),
     ("qscalar.py", "    if max(a) == 0 or max(b) == 0:\n        return {0: 1}\n", "",
      [QSCALAR + "test_a_constant_operand_skips_the_remainder_sequence"]),
+    # an index out of range is a ValueError, which cli.run reports in one line
+    ("cartan.py", "class IndexOutOfRange(ValueError, IndexError):", "class IndexOutOfRange(IndexError):",
+     [CARTAN + "test_bilinear_out_of_range",
+      HEIS + "test_structure_constant_rejects_nodes_out_of_range"]),
     # the one Dynkin table: E's node 2 hung on node 3, and B's multiple bond
     # written as C's
     ("cartan.py", "(2, 4)", "(2, 3)",
@@ -215,7 +232,11 @@ MUTANTS = [
      [VERMA + "test_phi_signature_parse_render_eval"]),
     ("weyliso.py", "return qint(gen.degree * self.level)", "return qint(gen.degree + self.level)",
      [WEYL + "test_image_generator_assignments"]),
-    # the one gamma check of the Weyl map, in both directions
+    # the Weyl map's formal-level check, and its one gamma check, in both
+    # directions
+    ("weyliso.py", "        if level is None:\n            raise UnspecializedGamma(",
+     "        if False:\n            raise UnspecializedGamma(",
+     [WEYL + "test_a_formal_level_is_rejected_before_any_commutator"]),
     ("weyliso.py", "    if any(g for (_, g), _ in x.items()):\n"
      '        raise UnspecializedGamma("gamma is still formal; specialize it first")\n', "",
      [WEYL + "test_inverse_image_rejects_gamma_as_image_does"]),

@@ -110,6 +110,9 @@ def test_bilinear_out_of_range():
         cd.bilinear(0, 3)
     with pytest.raises(IndexOutOfRange):
         cd.bilinear(-1, 0)
+    # a ValueError, so that cli.run reports it in one line with exit code 2
+    with pytest.raises(ValueError):
+        cd.bilinear(5, 0)
 
 
 @pytest.mark.parametrize("series,rank", [

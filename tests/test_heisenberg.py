@@ -62,6 +62,9 @@ def test_structure_constant_rejects_nodes_out_of_range(series, rank, convention)
     for i, j in [(0, 1), (1, 0), (rank + 1, 1), (1, rank + 1)]:
         with pytest.raises(IndexOutOfRange):
             structure_constant(alg, i, j, 1)
+    # a ValueError, so that cli.run reports it in one line with exit code 2
+    with pytest.raises(ValueError):
+        structure_constant(alg, 0, 1, 1)
 
 
 @pytest.mark.parametrize("level", [None, 1, 2, -1])

@@ -7,7 +7,6 @@ known slower route, or it could not see a change of exponent.
 """
 
 import sys
-from fractions import Fraction
 
 import oracles
 import test_loopweights
@@ -19,15 +18,11 @@ from qheis.loopweights import GradedDims
 
 # O(sqrt t) steps per coefficient: a table of n coefficients costs O(n^1.5)
 PARTITION_BOUND = 2 ** 1.75
-# one geometric factor multiplied into or divided out of a series costs O(len)
-# whatever its E
+# one geometric factor multiplied into a series costs O(len) whatever its E
 FACTOR_BOUND = 2 ** 0.25
 # today's exponent of the shift-series DP: about 9.4 per doubling of beta
 SHIFT_SERIES_BOUND = 2 ** 4
 SERIES = list(range(4000))
-# long division over Fraction is slow to trace; a shorter dividend keeps the
-# ratio, since neither route's cost depends on its length beyond O(len)
-DIVIDEND = SERIES[:1000]
 
 
 def _line_events(path, call, n):
@@ -77,32 +72,6 @@ def test_the_convolution_route_breaks_the_factor_bound():
     series = dict(enumerate(SERIES))
     ratio = _doubling_ratio(oracles.__file__,
                             lambda E: oracles.convolve(series, {e * 3: 1 for e in range(E + 1)}), 8)
-    assert ratio > FACTOR_BOUND
-
-
-def _factor(E):
-    return {e * 3: Fraction(1) for e in range(E + 1)}
-
-
-def _product(E):
-    """The dividend times the factor of E, without zero coefficients, so that
-    long division by the factor leaves no remainder."""
-    coeffs = DIVIDEND + [0] * (3 * E)
-    verma._multiply_in(coeffs, 3, E)
-    return {m: c for m, c in enumerate(coeffs) if c}
-
-
-def test_dividing_out_a_factor_does_not_grow_with_the_exponent_bound():
-    products = {E: _product(E) for E in (8, 16)}
-    ratio = _doubling_ratio(verma.__file__, lambda E: verma._divide_out(products[E], 3, E), 8)
-    assert ratio <= FACTOR_BOUND
-
-
-def test_the_long_division_route_breaks_the_factor_bound():
-    # O(len * E): about 1.8 per doubling of E
-    products = {E: _product(E) for E in (8, 16)}
-    ratio = _doubling_ratio(oracles.__file__,
-                            lambda E: oracles.pdiv_exact(products[E], _factor(E)), 8)
     assert ratio > FACTOR_BOUND
 
 

@@ -24,7 +24,6 @@ from qheis.verma import (
     Truncation,
     TruncationExceeded,
     VermaModule,
-    _divide_out,
     _multiply_in,
     build_module,
     degree_counts,
@@ -35,15 +34,13 @@ PLUS = PhiSignature.parse("+")
 MIXED = PhiSignature.parse("+-:+")  # sign flips at index 2 only
 
 
-def brute_force_dims(module, degree):
-    """Independent enumerator: walk every exponent vector below the bounds."""
+def unpruned_basis_component(module, n):
+    """Reference enumeration: every exponent vector below the bounds, in
+    lexicographic order, kept when its degree is n."""
     N, E = module.truncation.max_index, module.truncation.max_exponent
     degs = [module.phi.lowering_degree(i) for i in range(1, N + 1)]
-    count = 0
-    for exps in itertools.product(range(E + 1), repeat=N):
-        if sum(e * d for e, d in zip(exps, degs)) == degree:
-            count += 1
-    return count
+    return [exps for exps in itertools.product(range(E + 1), repeat=N)
+            if sum(e * d for e, d in zip(exps, degs)) == n]
 
 
 # -- the rewriting route, kept as the oracle for the closed forms in verma ----
@@ -107,21 +104,6 @@ def vacuum_pairing_unfactored(module, u_exps, w_exps):
     return sum((c for (w, g), c in reduced.items() if not w), ZERO)
 
 
-def unpruned_basis_component(module, n):
-    """Reference enumeration: keep every prefix whose residual lies between
-    what the later indices can reach at most and at least, reachable or not."""
-    N, E = module.truncation.max_index, module.truncation.max_exponent
-    degs = [module.phi.lowering_degree(i) for i in range(1, N + 1)]
-    lo = [0] * (N + 1)
-    hi = [0] * (N + 1)
-    for i in range(N - 1, -1, -1):
-        lo[i] = lo[i + 1] + min(0, E * degs[i])
-        hi[i] = hi[i + 1] + max(0, E * degs[i])
-    layer = [((), n)]
-    for idx, deg in enumerate(degs, start=1):
-        layer = [(vec + (e,), r - e * deg) for vec, r in layer for e in range(E + 1)
-                 if lo[idx] <= r - e * deg <= hi[idx]]
-    return [vec for vec, _ in layer]
 
 
 def block_det_by_enumeration(module, n):
@@ -321,7 +303,7 @@ def test_graded_dims_match_brute_force():
     for phi in (PLUS, MIXED, PhiSignature.parse("-"), PhiSignature.parse("-+:-")):
         m = build_module(phi, 1, Truncation(4, 3))
         for n in range(-8, 9):
-            assert m.truncated_dim(n) == brute_force_dims(m, n)
+            assert m.truncated_dim(n) == len(unpruned_basis_component(m, n))
 
 
 def test_partition_function_values():
@@ -378,12 +360,24 @@ def test_multiplying_in_a_factor_equals_the_convolution(counts, deg, E):
     _multiply_in(coeffs, deg, E)
     product = _sparse(coeffs, lo)
     assert product == want
-    assert _divide_out(product, deg, E) == counts
     # with room for the degrees of counts only: what falls past the end is dropped
     lo, hi = min(counts), max(counts)
     coeffs = _dense(counts, lo, hi)
     _multiply_in(coeffs, deg, E)
     assert _sparse(coeffs, lo) == {n: c for n, c in want.items() if lo <= n <= hi}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=6), st.integers(0, 4),
+       st.data())
+def test_a_complement_times_its_factor_is_the_whole_product(degs, E, data):
+    # the count series of every index but k, as irreducible_at_truncation
+    # takes it, times index k's factor
+    degs = tuple(degs)
+    k = data.draw(st.integers(0, len(degs) - 1))
+    complement = verma._factor_product(degs[:k] + degs[k + 1:], E)
+    product = convolve(complement, {e * degs[k]: 1 for e in range(E + 1)})
+    assert {n: c for n, c in product.items() if c} == verma._factor_product(degs, E)
 
 
 _bench_oracle = load_benchmark_oracle()
@@ -490,6 +484,21 @@ def test_gram_dets_from_the_counts_equal_the_enumerated_blocks(phi):
             want = [(n, block_det_by_enumeration(m, n)) for n in range(-n_max, n_max + 1)
                     if m.basis_component(n)]
             assert list(m.irreducible_at_truncation().gram_dets) == want, (level, n_max, e_max)
+
+
+@pytest.mark.parametrize("phi", ["+", "-", "+-:+", "-:+", "-+:-"])
+def test_the_witness_is_the_first_zero_block_in_the_scan_order(phi):
+    # the scan -1, 1, -2, 2, ..., -N, N, 0 of the report's Gram blocks
+    for level in range(-3, 4):
+        for n_max, e_max in itertools.product(range(1, 5), range(1, 4)):
+            m = build_module(PhiSignature.parse(phi), level, Truncation(n_max, e_max))
+            report = m.report()
+            zero = {block["n"] for block in report["gram"] if not block["nonzero"]}
+            scan = [n for i in range(1, n_max + 1) for n in (-i, i)] + [0]
+            assert report["witness_degree"] == next((n for n in scan if n in zero), None)
+            pairing = m.irreducible_at_truncation().pairing_scalars
+            reducible = bool(zero) or any(c.is_zero for _, c in pairing)
+            assert (report["verdict"] == "REDUCIBLE") == reducible, (level, n_max, e_max)
 
 
 def test_irreducible_at_truncation_builds_no_basis(monkeypatch):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import qheis.weyliso as weyliso
 from qheis.cartan import load_type
 from qheis.heisenberg import (
     HeisenbergAlgebra,
@@ -96,6 +97,20 @@ def test_level_and_gamma_guards():
     for gen in (h_gen(1, 1), hp_gen(1, -1)):
         with pytest.raises(ValueError, match=re.escape(f"generator {gen.render()} is not in")):
             iso.inverse_image(AlgebraElement.from_gen(gen))
+
+
+def test_a_formal_level_is_rejected_before_any_commutator(monkeypatch):
+    # the image of h_{ik} is scaled by [k*level]_q, so the map needs a
+    # specialized level
+    with pytest.raises(UnspecializedGamma, match="gamma is still formal"):
+        WeylIsomorphism(None)
+
+    def refuse(*args):
+        raise AssertionError("no relation is computed at a formal level")
+
+    monkeypatch.setattr(weyliso, "commutator", refuse)
+    with pytest.raises(UnspecializedGamma, match="gamma is still formal"):
+        verify_weyl_iso(load_type("A", 1), None, 1)
 
 
 def test_inverse_image_rejects_gamma_as_image_does():
