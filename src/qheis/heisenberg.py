@@ -122,9 +122,33 @@ def structure_matrix(alg: HeisenbergAlgebra, k: int):
             for i in range(1, n + 1)]
 
 
+@lru_cache(maxsize=None)
+def _base_inverse(cartan):
+    """B^-1 for B_ij = [a_ij]_{q^{d_i}} on nodes 1..n: the one inverse per
+    Cartan datum, shared by both conventions and every level."""
+    nodes = range(1, cartan.rank + 1)
+    b = [[qint(cartan.gcm[i][j], cartan.d[i]) for j in nodes] for i in nodes]
+    return tuple(map(tuple, invert(b)))
+
+
 def inverse_structure_matrix(alg: HeisenbergAlgebra, k: int):
-    """Exact inverse of the structure matrix; SingularMatrix signals a fault."""
-    return invert(structure_matrix(alg, k))
+    """Exact inverse of the degree-k structure matrix C(k); SingularMatrix
+    signals a fault.
+
+    [k a]_{q^d} = [k]_{q^d} [a]_{q^{dk}} gives C(k) = D B(s^k) E^-1 with
+    D = diag([k]_{q^{d_i}}) and E = diag(k F_j), where F_j is the convention's
+    denominator [d_j]_{q^{d_j}} or [d_j]_q.  So
+    C(k)^-1_{ji} = k F_j B^-1_{ji}(s^k) / [k]_{q^{d_i}}, and C(-k) = C(k).
+    """
+    if k == 0:
+        raise ZeroK("degree k must be nonzero")
+    k, cd = abs(k), alg.cartan
+    nodes = range(1, cd.rank + 1)
+    paper = alg.convention is StructureConvention.QJ_BRACKET
+    left = [qint(cd.d[j], cd.d[j] if paper else 1) * k for j in nodes]
+    right = [ONE / qint(k, cd.d[i]) for i in nodes]
+    return [[f * b.substitute(k) * g for b, g in zip(row, right)]
+            for f, row in zip(left, _base_inverse(cd))]
 
 
 def primed_generators(alg: HeisenbergAlgebra, k: int):

@@ -382,12 +382,22 @@ class Scalar:
             return NotImplemented
         return other + (-self)
 
+    def _constant(self):
+        # the value of a nonzero constant, else None (a canonical denominator
+        # of one term is 1)
+        return self._num.get(0) if len(self._num) == len(self._den) == 1 else None
+
     def __mul__(self, other):
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ZERO
+        if self._constant() is not None:
+            self, other = other, self
+        if (c := other._constant()) is not None:
+            # the numerator rescaled over the same denominator stays canonical
+            return Scalar._reduced({e: v * c for e, v in self._num.items()}, self._den)
         # cross-cancel so that the product is already coprime
         n1, d2 = _coprime(self._num, other._den)
         n2, d1 = _coprime(other._num, self._den)
@@ -415,6 +425,15 @@ class Scalar:
         out._num = _pneg(self._num)
         out._den = self._den
         return out
+
+    def substitute(self, k: int) -> "Scalar":
+        """This function of s at s^k, for an int k >= 1.  A Bezout identity
+        a*num + b*den = 1 still holds at s^k, so the canonical pair stays
+        canonical and no gcd runs."""
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"substitute takes an int k >= 1, not {k!r}")
+        return Scalar._reduced({e * k: c for e, c in self._num.items()},
+                               {e * k: c for e, c in self._den.items()})
 
     def __pow__(self, k):
         if not isinstance(k, int):

@@ -174,17 +174,22 @@ def _multiply_in(coeffs, deg, E):
             coeffs[j] += coeffs[j - deg]
 
 
-@lru_cache(maxsize=None)
-def _factor_product(degs: tuple, E: int) -> dict:
-    """{degree: count}: the product over deg in degs of sum_{e <= E} x^(e*deg).
-    Cached on the degrees, so one module's counts serve every spelling of its
-    signature and every caller only reads them."""
+def _count_series(degs: tuple, E: int) -> dict:
+    """{degree: count}: the product over deg in degs of sum_{e <= E} x^(e*deg)."""
     lo = sum(min(0, E * deg) for deg in degs)
     coeffs = [0] * (sum(E * abs(deg) for deg in degs) + 1)
     coeffs[-lo] = 1
     for deg in degs:
         _multiply_in(coeffs, deg, E)
     return {lo + j: c for j, c in enumerate(coeffs) if c}
+
+
+@lru_cache(maxsize=None)
+def _factor_product(degs: tuple, E: int) -> dict:
+    """_count_series cached on the degrees, so one module's counts serve every
+    spelling of its signature and every caller only reads them.  A module's
+    complement series are not cached: they would add N entries per module."""
+    return _count_series(degs, E)
 
 
 def degree_counts(phi: PhiSignature, truncation: Truncation) -> dict:
@@ -333,7 +338,7 @@ class VermaModule(namedtuple("VermaModule", "phi level truncation")):
         pairing = tuple((k, self._pairing_scalar(k)) for k in range(1, N + 1))
         degs = tuple(self.phi.lowering_degree(k) for k in range(1, N + 1))
         counts = _factor_product(degs, E)
-        others = [_factor_product(degs[:k] + degs[k + 1:], E) for k in range(N)]
+        others = [_count_series(degs[:k] + degs[k + 1:], E) for k in range(N)]
         dets = {n: self._block_det(n, pairing, others) for n in range(-N, N + 1) if counts.get(n)}
         witness = min((n for n, d in dets.items() if d.is_zero),
                       key=lambda n: (n == 0, abs(n), n), default=None)

@@ -52,6 +52,18 @@ MUTANTS = [
      "q = _kronecker(pair, _digit_bytes(pair) - 1)",
      [QSCALAR + "test_power_product_of_monomials_at_the_width_bound",
       QSCALAR + "test_power_product_on_both_sides_of_the_width_limit"]),
+    # a module's complement series cached with its counts
+    ("verma.py", "others = [_count_series(", "others = [_factor_product(",
+     [VERMA + "test_a_module_adds_one_count_table_to_the_cache"]),
+    # the one inverse per Cartan datum rescaled to degree k: [k] in base q
+    # for every node, and the two conventions' factors F_j swapped
+    ("heisenberg.py", "ONE / qint(k, cd.d[i])", "ONE / qint(k, 1)",
+     [HEIS + "test_the_inverse_at_a_specialized_level_and_at_negative_k"]),
+    ("heisenberg.py", "cd.d[j] if paper else 1", "1 if paper else cd.d[j]",
+     [HEIS + "test_the_inverse_at_a_specialized_level_and_at_negative_k"]),
+    # a product by a constant that keeps the other numerator as it is
+    ("qscalar.py", "{e: v * c for e, v in self._num.items()}", "dict(self._num)",
+     [QSCALAR + "test_a_constant_factor_rescales_the_numerator_over_the_same_denominator"]),
     # one geometric factor in place: the numerator shift and the backward pass
     ("verma.py", "L, s = len(coeffs), (E + 1) * deg", "L, s = len(coeffs), E * deg",
      [VERMA + "test_multiplying_in_a_factor_equals_the_convolution"]),

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from qheis.cartan import IndexOutOfRange, load_type
+import qheis.heisenberg as heisenberg
+from qheis.cartan import IndexOutOfRange, InvalidType, load_type
 from qheis.heisenberg import (
     HeisenbergAlgebra,
     StructureConvention,
@@ -21,7 +22,7 @@ from qheis.heisenberg import (
     structure_matrix,
     verify_canonical_relations,
 )
-from qheis.linalg import identity, mat_mul
+from qheis.linalg import identity, invert, mat_mul
 from qheis.qscalar import ONE, qint, specialize_q1
 from qheis.termalg import (
     AlgebraElement,
@@ -160,6 +161,60 @@ def a_n_inverse_closed_form(n, k):
 def test_inverse_matrix_a_n_equals_the_closed_form(n, k, convention):
     alg = HeisenbergAlgebra(load_type("A", n), convention)
     assert inverse_structure_matrix(alg, k) == a_n_inverse_closed_form(n, k)
+
+
+def supported_types(max_rank):
+    out = []
+    for series in "ABCDEFG":
+        for rank in range(1, max_rank + 1):
+            try:
+                out.append(load_type(series, rank))
+            except InvalidType:
+                pass
+    return out
+
+
+def test_one_inverse_per_cartan_datum_equals_the_inverse_at_every_k():
+    # the oracle inverts the degree-k structure matrix itself, for each k
+    types = supported_types(8)
+    assert len(types) == 31
+    for cd in types:
+        for convention in (QJ, PLAIN):
+            alg = HeisenbergAlgebra(cd, convention)
+            for k in (1, 2, 3):
+                assert inverse_structure_matrix(alg, k) == invert(structure_matrix(alg, k)), \
+                    (cd.series, cd.rank, convention, k)
+
+
+@pytest.mark.parametrize("series,rank", [("B", 3), ("G", 2), ("C", 3), ("A", 3)])
+def test_the_inverse_at_a_specialized_level_and_at_negative_k(series, rank):
+    cd = load_type(series, rank)
+    for convention in (QJ, PLAIN):
+        for level in (2, -1):
+            alg = HeisenbergAlgebra(cd, convention, level)
+            for k in (1, 2, 4):
+                b = inverse_structure_matrix(alg, k)
+                assert b == invert(structure_matrix(alg, k))
+                assert inverse_structure_matrix(alg, -k) == b
+        with pytest.raises(ZeroK):
+            inverse_structure_matrix(HeisenbergAlgebra(cd, convention), 0)
+
+
+def test_one_invert_serves_both_conventions_and_every_level(monkeypatch):
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return invert(matrix)
+
+    monkeypatch.setattr(heisenberg, "invert", counted)
+    heisenberg._base_inverse.cache_clear()
+    cd = load_type("C", 3)
+    for convention in (QJ, PLAIN):
+        for level in (None, 2, -1):
+            for k in (1, 2, 3, -1):
+                inverse_structure_matrix(HeisenbergAlgebra(cd, convention, level), k)
+    assert calls == [3]
 
 
 def test_inverse_matrix_a2_against_adjugate_oracle():

@@ -874,6 +874,61 @@ def test_a_sum_over_unequal_denominators_equals_the_unreduced_quotient(operands)
                            pmul_schoolbook(d1, d2))
 
 
+# -- a constant factor, and the substitution s -> s^k --------------------------
+
+_CONSTANTS = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalars(), _CONSTANTS)
+def test_a_constant_factor_rescales_the_numerator_over_the_same_denominator(x, c):
+    num, den = x.num_terms, x.den_terms
+    times = Scalar({e: v * c for e, v in num.items()}, den)
+    over = Scalar({e: v / c for e, v in num.items()}, den)
+    constant = Scalar({0: c})
+    for got, want in [(x * c, times), (c * x, times), (x * constant, times),
+                      (constant * x, times), (x / c, over), (x / constant, over)]:
+        assert_canonical(got)
+        assert same(got, want)
+
+
+def test_a_constant_factor_runs_no_cancel_step_and_no_product(monkeypatch):
+    x, y = Scalar({3: 2, -1: Fraction(1, 3)}, {0: 1, 2: 5}), qint(3, 2)
+    c = Scalar({0: Fraction(-4, 7)})
+    want = [x * c, c * y, x / c, c / c]
+
+    def refuse(*args):
+        raise AssertionError("a product by a constant ran a polynomial kernel")
+
+    monkeypatch.setattr(qscalar, "_coprime", refuse)
+    monkeypatch.setattr(qscalar, "_pmul", refuse)
+    assert [x * c, c * y, x / c, c / c] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalars(), scalars(), st.integers(1, 4))
+def test_the_substitution_commutes_with_the_field_operations(x, y, k):
+    def at(z):
+        return z.substitute(k)
+
+    for z in (x, y):
+        assert_canonical(at(z))
+        assert at(z) == Scalar({e * k: c for e, c in z.num_terms.items()},
+                               {e * k: c for e, c in z.den_terms.items()})
+    assert same(at(x + y), at(x) + at(y))
+    assert same(at(x * y), at(x) * at(y))
+    if y:
+        assert same(at(x / y), at(x) / at(y))
+
+
+def test_the_substitution_takes_a_positive_int():
+    x = qint(2)
+    assert x.substitute(1) == x and x.substitute(3) == qint(2, 3)
+    for k in (0, -1, 2.0):
+        with pytest.raises(ValueError):
+            x.substitute(k)
+
+
 # -- operation counts of every benchmark job ------------------------------------
 
 OP_COUNTS = json.loads(GOLDEN.read_text())

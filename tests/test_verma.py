@@ -375,7 +375,7 @@ def test_a_complement_times_its_factor_is_the_whole_product(degs, E, data):
     # takes it, times index k's factor
     degs = tuple(degs)
     k = data.draw(st.integers(0, len(degs) - 1))
-    complement = verma._factor_product(degs[:k] + degs[k + 1:], E)
+    complement = verma._count_series(degs[:k] + degs[k + 1:], E)
     product = convolve(complement, {e * degs[k]: 1 for e in range(E + 1)})
     assert {n: c for n, c in product.items() if c} == verma._factor_product(degs, E)
 
@@ -593,3 +593,11 @@ def test_one_signature_spelled_two_ways_shares_one_count_table(short, long):
     for trunc in (Truncation(1, 1), Truncation(4, 3)):
         assert degree_counts(PhiSignature.parse(short), trunc) is \
             degree_counts(PhiSignature.parse(long), trunc)
+
+
+def test_a_module_adds_one_count_table_to_the_cache():
+    # the N complement series of irreducible_at_truncation are computed each
+    # time, not cached; level 0 zeroes every pairing scalar, so no power runs
+    verma._factor_product.cache_clear()
+    build_module(PLUS, 0, Truncation(20, 1)).irreducible_at_truncation()
+    assert verma._factor_product.cache_info().currsize == 1
