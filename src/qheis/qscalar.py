@@ -51,11 +51,6 @@ def _pneg(a):
     return {e: -c for e, c in a.items()}
 
 
-# Up to this many bytes per digit, packing every factor of a power product at
-# one common width beats raising each at its own width and multiplying in turn.
-_ONE_PACK_MAX_BYTES = 45
-
-
 def _pmul(a, b):
     # both operands scaled to integers once and multiplied term by term; each
     # nonzero output coefficient becomes a Fraction once
@@ -72,11 +67,10 @@ def _pmul(a, b):
 def _power_product(factors, count=1):
     """count * prod p^k over pairs (Laurent polynomial p, int k >= 0), count != 0.
 
-    Each factor is scaled to integers over its least common denominator.  Up
-    to _ONE_PACK_MAX_BYTES bytes per digit, every factor is packed once at the
-    one width that holds the whole product and the product is unpacked once;
-    wider, each factor is raised at its own width and the integer powers are
-    multiplied in turn.  Each output coefficient becomes a Fraction once.
+    Each factor is scaled to integers over its least common denominator, and
+    the integer factors are multiplied by one Kronecker substitution at the
+    one width that holds the whole product.  Each output coefficient becomes a
+    Fraction once.
     """
     den, ints = 1, []
     for p, k in factors:
@@ -87,19 +81,7 @@ def _power_product(factors, count=1):
         d, q = _integer_coefficients(p)
         den *= d ** k
         ints.append((q, k))
-    if not ints:
-        out = {0: 1}
-    elif (nbytes := _digit_bytes(ints)) <= _ONE_PACK_MAX_BYTES:
-        out = _kronecker(ints, nbytes)
-    else:
-        out = None
-        for q, k in ints:
-            if k > 1:
-                q = _kronecker([(q, k)], _digit_bytes([(q, k)]))
-            if out is not None:
-                pair = [(out, 1), (q, 1)]
-                q = _kronecker(pair, _digit_bytes(pair))
-            out = q
+    out = _kronecker(ints, _digit_bytes(ints)) if ints else {0: 1}
     return {e: Fraction(c * count, den) for e, c in out.items()}
 
 
@@ -127,17 +109,24 @@ def _digit_bytes(pairs):
 def _kronecker(pairs, nbytes):
     """prod q^k over pairs ({exponent: int} q, int k >= 1) by Kronecker
     substitution (Harvey, arXiv:0712.4046): one int per q with a digit of
-    8*nbytes bits per exponent step, big-integer powers and products, and one
-    unpack.  nbytes must hold every coefficient of the product (_digit_bytes).
+    8*nbytes bits per exponent step, big-integer powers, a balanced product of
+    the powers, and one unpack.  nbytes must hold every coefficient of the
+    product (_digit_bytes).
     """
     lows = [min(q) for q, _ in pairs]
     # exponents often step by 2 or 4 (powers of q = s^2): pack one digit per step
     step = gcd(*(e - low for (q, _), low in zip(pairs, lows) for e in q)) or 1
-    value, digits = 1, 1
+    values, digits = [], 1
     for (q, k), low in zip(pairs, lows):
         span = (max(q) - low) // step
-        value *= _pack(q, low, step, nbytes, span + 1) ** k
+        values.append(_pack(q, low, step, nbytes, span + 1) ** k)
         digits += k * span
+    # neighbours paired until one value is left: Karatsuba gains most on
+    # operands of like size
+    while len(values) > 1:
+        paired = [a * b for a, b in zip(values[::2], values[1::2])]
+        values = paired + values[2 * len(paired):]
+    value = values[0]
     # a half-digit bias makes every digit nonnegative, so one to_bytes unpacks
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * digits, "little")

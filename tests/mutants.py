@@ -44,14 +44,12 @@ MUTANTS = [
      [VERMA + "test_gram_dets_from_the_counts_equal_the_enumerated_blocks"]),
     ("verma.py", "abs(n), n)", "abs(n), -n)",
      [VERMA + "test_the_witness_is_the_first_zero_block_in_the_scan_order"]),
-    # one digit byte short in the one-pack and in the chained Kronecker product
-    ("qscalar.py", "out = _kronecker(ints, nbytes)", "out = _kronecker(ints, nbytes - 1)",
-     [QSCALAR + "test_power_product_of_monomials_at_the_width_bound",
-      QSCALAR + "test_power_product_on_both_sides_of_the_width_limit"]),
-    ("qscalar.py", "q = _kronecker(pair, _digit_bytes(pair))",
-     "q = _kronecker(pair, _digit_bytes(pair) - 1)",
-     [QSCALAR + "test_power_product_of_monomials_at_the_width_bound",
-      QSCALAR + "test_power_product_on_both_sides_of_the_width_limit"]),
+    # the power product packed one digit byte short, and the unpaired power of
+    # a level of the balanced product dropped
+    ("qscalar.py", "_kronecker(ints, _digit_bytes(ints))", "_kronecker(ints, _digit_bytes(ints) - 1)",
+     [QSCALAR + "test_power_product_of_monomials_at_the_width_bound"]),
+    ("qscalar.py", "values = paired + values[2 * len(paired):]", "values = paired",
+     [QSCALAR + "test_power_product_of_one_to_nine_factors"]),
     # a module's complement series cached with its counts
     ("verma.py", "others = [_count_series(", "others = [_factor_product(",
      [VERMA + "test_a_module_adds_one_count_table_to_the_cache"]),

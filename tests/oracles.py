@@ -77,6 +77,22 @@ def pseudo_rem(a, b):
     return r
 
 
+P61 = 2**61 - 1
+
+
+def at(x, s, p=P61):
+    """The value of a Scalar x at s in GF(p), p prime, from its num_terms and
+    den_terms alone; ZeroDivisionError when the denominator vanishes at s."""
+    def value(terms):
+        return sum(c.numerator * pow(c.denominator, -1, p) * pow(s, e, p)
+                   for e, c in terms.items()) % p
+
+    den = value(x.den_terms)
+    if not den:
+        raise ZeroDivisionError(f"the denominator of {x} vanishes at s = {s} mod {p}")
+    return value(x.num_terms) * pow(den, -1, p) % p
+
+
 def inverse_euler_cut(rank, far):
     """[a(0), ..., a(far)] of prod_{m=1..far} (1 - x^m)^(-rank) cut at degree
     far: rank geometric series per part size, each multiplied in densely."""

@@ -3,17 +3,17 @@ import json
 import operator
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import pdiv_exact, pmul_schoolbook, pseudo_rem
+from oracles import P61, at, pdiv_exact, pmul_schoolbook, pseudo_rem
 from pin_op_counts import GOLDEN, GROUPS, JOBS, ROOT, count_ops
 
 import qheis.qscalar as qscalar
+import qheis.verma as verma
 from qheis.qscalar import (
-    _ONE_PACK_MAX_BYTES,
     ONE,
     ZERO,
     DivisionByZero,
@@ -599,12 +599,12 @@ def test_integer_product_equals_the_fraction_schoolbook(operands):
 @pytest.mark.parametrize("sizes", [(1, _PAIRS), (_SIDE + 1, _SIDE + 1), (3, _PAIRS // 3 + 1)])
 @pytest.mark.parametrize("nbytes", [1, 2, 3, 9])
 def test_kronecker_product_at_the_digit_bound(nbytes, sizes, past_edge, signs, den):
-    # the two-factor pack of the chained power product, on operands scaled to
-    # integers as _power_product scales them: equal coefficients on
-    # consecutive exponents put n*A*B, the bound max|a| * max|b| * min(len a,
-    # len b) itself, in the middle of the product, the largest such value (A
-    # coprime to den, so scaling keeps it) that fits an nbytes-byte signed
-    # digit, or the smallest that does not
+    # a two-factor Kronecker product, on operands scaled to integers as
+    # _power_product scales them: equal coefficients on consecutive exponents
+    # put n*A*B, the bound max|a| * max|b| * min(len a, len b) itself, in the
+    # middle of the product, the largest such value (A coprime to den, so
+    # scaling keeps it) that fits an nbytes-byte signed digit, or the smallest
+    # that does not
     n = min(sizes)
     edge = 1 << (8 * nbytes - 1)
     big = -(-edge // n) if past_edge else (edge - 1) // n
@@ -710,15 +710,20 @@ def digit_width(factors):
     return _digit_bytes([(_integer_coefficients(p)[1], k) for p, k in factors if k])
 
 
+# the digit widths 1, 2, 9, 44, 45, 46 and 130 bytes, each written as 45 + shift
+# so that a width keeps its test id
+_WIDTH = 45
+
+
 @pytest.mark.parametrize("den", [1, 3**7])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("past_edge", [False, True])
-@pytest.mark.parametrize("shift", [-1, 0, 1])
+@pytest.mark.parametrize("shift", [-44, -43, -36, -1, 0, 1, 85])
 def test_power_product_of_monomials_at_the_width_bound(shift, past_edge, sign, den):
     # the bound is exact on monomials: the product coefficient c is the largest
     # value that fits nbytes-byte signed digits (c = 2^(8n-1) - 1), or the
-    # smallest that does not (c = 2^(8n-1)), with n beside the one-pack limit
-    nbytes = _ONE_PACK_MAX_BYTES + shift
+    # smallest that does not (c = 2^(8n-1))
+    nbytes = _WIDTH + shift
     edge = 1 << (8 * nbytes - 1)
     c = edge if past_edge else edge - 1
     factors = [({3: Fraction(c, den)}, 1), ({-2: Fraction(sign, den)}, 3),
@@ -731,11 +736,11 @@ def test_power_product_of_monomials_at_the_width_bound(shift, past_edge, sign, d
 
 @pytest.mark.parametrize("above", [False, True])
 def test_power_product_on_both_sides_of_the_width_limit(above):
-    # random factor lists whose digit width lies just below or just above the
-    # limit at which the factors stop sharing one pack
-    band = (range(_ONE_PACK_MAX_BYTES + 1, _ONE_PACK_MAX_BYTES + 4) if above
-            else range(_ONE_PACK_MAX_BYTES - 2, _ONE_PACK_MAX_BYTES + 1))
-    rng = random.Random(_ONE_PACK_MAX_BYTES + above)
+    # random factor lists whose digit width lies just below or just above 45
+    # bytes, where the product once switched from one pack to a chain of
+    # two-factor products
+    band = range(_WIDTH + 1, _WIDTH + 4) if above else range(_WIDTH - 2, _WIDTH + 1)
+    rng = random.Random(_WIDTH + above)
     cases = 0
     while cases < 12:
         bits = rng.randint(20, 60)
@@ -748,6 +753,74 @@ def test_power_product_on_both_sides_of_the_width_limit(above):
         cases += 1
         assert _power_product(factors, 3) == {
             e: 3 * v for e, v in product_by_schoolbook(factors).items()}
+
+
+@pytest.mark.parametrize("band", [range(1, 9), range(40, 51), range(100, 141)],
+                         ids=["1-8", "40-50", "100-140"])
+def test_power_product_across_width_bands(band):
+    # random factor lists whose digit width lies in the band, from one-byte
+    # digits to widths past any the Gram determinants of the pools reach
+    rng = random.Random(band.start)
+    cases = 0
+    while cases < 12:
+        bits = rng.randint(2 * band.start, 4 * band.stop)
+        factors = [({e: Fraction(rng.randint(-2**bits, 2**bits) or 1, rng.choice([1, 2, 9]))
+                     for e in rng.sample(range(-8, 9, rng.choice([1, 2])), rng.randint(1, 4))},
+                    rng.randint(1, 3))
+                   for _ in range(rng.randint(2, 4))]
+        if digit_width(factors) not in band:
+            continue
+        cases += 1
+        assert _power_product(factors, 3) == {
+            e: 3 * v for e, v in product_by_schoolbook(factors).items()}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_power_product_of_one_to_nine_factors(n):
+    # the balanced product pairs neighbours level by level; 3, 5, 6, 7 and 9
+    # factors leave one power unpaired at some level
+    rng = random.Random(n)
+    for _ in range(8):
+        factors = [({e: Fraction(rng.randint(-99, 99) or 1, rng.choice([1, 2, 5]))
+                     for e in rng.sample(range(-6, 7), rng.randint(1, 3))}, rng.randint(1, 3))
+                   for _ in range(n)]
+        assert _power_product(factors, -2) == {
+            e: -2 * v for e, v in product_by_schoolbook(factors).items()}
+
+
+def test_power_products_of_the_gram_determinants_hold_mod_p(monkeypatch):
+    # every (pairs, count) that the Gram determinants pass to power_product, on
+    # the 17 Gram jobs of the symbolic pool and one module of index 12, checked
+    # by an evaluation in GF(2^61 - 1) that shares no code with the Kronecker
+    # product: at 3 random s, the value of the product is count times the
+    # product of the values of the powers; s is drawn again where a
+    # denominator vanishes
+    calls = []
+
+    def recorded(pairs, count=1, _kernel=verma.power_product):
+        calls.append((list(pairs), count))
+        return _kernel(pairs, count)
+
+    monkeypatch.delenv("QAFF_FORMAT", raising=False)
+    monkeypatch.setattr(verma, "power_product", recorded)
+    jobs = [argv for argv in JOBS.values() if argv[0] == "verma-irred"]
+    assert len(jobs) == 17
+    for argv in jobs + ["verma-irred --phi + --level 1 --max-index 12 --max-exp 1".split()]:
+        assert count_ops(argv)[0] == 0
+    assert len(calls) > 100 and max(len(pairs) for pairs, _ in calls) >= 9
+    rng = random.Random(61)
+    for pairs, count in calls:
+        got = power_product(pairs, count)
+        checked = 0
+        while checked < 3:
+            s = rng.randrange(2, P61)
+            try:
+                want = count * prod(pow(at(x, s), k, P61) for x, k in pairs)
+                value = at(got, s)
+            except ZeroDivisionError:
+                continue
+            assert value == want % P61
+            checked += 1
 
 
 def test_power_product_of_laurent_factors_and_its_validation():
